@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.config import SkewAdaptiveIndexConfig
 from repro.core.inverted_index import InvertedFilterIndex, _segment_gather
 from repro.core.kernels import CHAIN_PROBES, KEYS_FOLDED, PATHS_EXTENDED, new_counters
-from repro.core.paths import PathGenerationResult, PathGenerator, paths_to_csr
+from repro.core.paths import PathGenerationResult, PathGenerator, VectorBatch, paths_to_csr
 from repro.core.skewed_index import SkewAdaptiveIndex
 from repro.core.thresholds import BoundThreshold
 from repro.evaluation.reporting import format_table
@@ -233,7 +233,9 @@ def _reference_generate_batch(
 # --------------------------------------------------------------------- #
 
 
-def _reference_compact(index: InvertedFilterIndex):
+def _reference_compact(
+    stream_keys: np.ndarray, stream_paths: list[tuple[int, ...]], stream_ids: np.ndarray
+):
     """The replaced compaction on a forced-collision stream, end to end.
 
     Mirrors the pre-kernel ``compact()``: stable key sort, vectorised path
@@ -242,9 +244,6 @@ def _reference_compact(index: InvertedFilterIndex):
     followed by the probe-table sort.  Returns the slot keys, posting lists
     and the key-order permutation for the equivalence assertion.
     """
-    stream_keys = np.asarray(index._pending_keys, dtype=np.uint64)
-    stream_ids = np.asarray(index._pending_ids, dtype=np.int64)
-    stream_paths = list(index._pending_paths)
     pending_items, pending_offsets = paths_to_csr(stream_paths)
     table_lengths = np.diff(pending_offsets)
 
@@ -338,15 +337,17 @@ def _build_workload(distribution):
     engine = index._create_engine(num_vectors)
     generator = engine._generators[0]
     generator.ensure_hash_levels()
-    bounds = [engine._threshold_policy.bind(vector) for vector in members]
-    return num_vectors, members, generator, bounds
+    policy = engine._threshold_policy
+    bounds = [policy.bind(vector) for vector in members]
+    return num_vectors, members, generator, policy, bounds
 
 
 def _chunked(generate, members, bounds):
-    results = []
-    for start in range(0, len(members), CHUNK):
-        results.extend(generate(members[start : start + CHUNK], bounds[start : start + CHUNK]))
-    return results
+    """One ``generate`` output per chunk (flattened outside the timed region)."""
+    return [
+        generate(members[start : start + CHUNK], bounds[start : start + CHUNK])
+        for start in range(0, len(members), CHUNK)
+    ]
 
 
 def _results_equal(new: list[PathGenerationResult], old: list[PathGenerationResult]) -> bool:
@@ -365,26 +366,33 @@ def _results_equal(new: list[PathGenerationResult], old: list[PathGenerationResu
 
 
 def _run_kernels(distribution) -> dict:
-    num_vectors, members, generator, bounds = _build_workload(distribution)
+    num_vectors, members, generator, policy, bounds = _build_workload(distribution)
     counters = new_counters()
+
+    def generate_new(chunk_members, _chunk_bounds):
+        # Binding the chunk is part of the timed work, like the reference's
+        # own per-call sorting and threshold set-up.
+        return generator.generate_batch(VectorBatch.bind(chunk_members, policy), counters)
 
     # Exclude one-time costs (hash levels, numba JIT) from both stages.
     warm_up(
-        lambda: generator.generate_batch(members[:64], bounds[:64], counters=new_counters()),
+        lambda: generator.generate_batch(VectorBatch.bind(members[:64], policy)),
         lambda: _reference_generate_batch(generator, members[:64], bounds[:64]),
     )
 
     new_start = time.perf_counter()
-    new_results = _chunked(
-        lambda m, b: generator.generate_batch(m, b, counters=counters), members, bounds
-    )
+    new_batches = _chunked(generate_new, members, bounds)
     new_extension_seconds = time.perf_counter() - new_start
 
     old_start = time.perf_counter()
-    old_results = _chunked(
+    old_chunks = _chunked(
         lambda m, b: _reference_generate_batch(generator, m, b), members, bounds
     )
     old_extension_seconds = time.perf_counter() - old_start
+
+    # The array-native batches only become tuples here, for the comparison.
+    new_results = [result for batch in new_batches for result in batch]
+    old_results = [result for chunk in old_chunks for result in chunk]
 
     assert _results_equal(new_results, old_results), (
         "kernel path extension diverged from the tuple-frontier reference"
@@ -429,14 +437,15 @@ def _run_kernels(distribution) -> dict:
     warm_up(small_forced_compact)  # JIT-compile chain_resolve before timing
 
     new_store = fill()
-    old_store = fill()
 
     new_start = time.perf_counter()
     new_store.compact()
     new_compaction_seconds = time.perf_counter() - new_start
 
+    stream_paths = [path for _vector_id, path in entries]
+    stream_ids = np.asarray([vector_id for vector_id, _path in entries], dtype=np.int64)
     old_start = time.perf_counter()
-    key_array, slot_postings, key_order = _reference_compact(old_store)
+    key_array, slot_postings, key_order = _reference_compact(keys, stream_paths, stream_ids)
     old_compaction_seconds = time.perf_counter() - old_start
 
     assert np.array_equal(key_array[key_order], new_store._path_keys), (

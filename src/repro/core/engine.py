@@ -50,10 +50,11 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 from repro.core.config import DEFAULT_BATCH_SIZE
-from repro.core.inverted_index import InvertedFilterIndex, _segment_gather
+from repro.core.dtypes import ID_DTYPE, OFFSET_DTYPE
+from repro.core.inverted_index import InvertedFilterIndex, _segment_gather, _segments_differ
 from repro.core.kernels import get_impl, new_counters
 from repro.core.mmap_store import LazyVectorStore
-from repro.core.paths import PathGenerationResult, PathGenerator, default_max_depth
+from repro.core.paths import FilterBatch, PathGenerator, VectorBatch, default_max_depth
 from repro.core.stats import BatchQueryStats, BuildStats, KernelStats, QueryStats
 from repro.core.thresholds import ThresholdPolicy
 from repro.hashing.pairwise import PathHasher
@@ -75,8 +76,15 @@ class DeadlineExceededError(TimeoutError):
     is spent.  The serving layer maps this to ``504 Gateway Timeout``.
     """
 
-#: Vectors per generation chunk during :meth:`FilterEngine.build`.
-_BUILD_GENERATION_BATCH = 512
+#: Vectors per generation chunk during :meth:`FilterEngine.build`.  Results
+#: do not depend on it.  Deliberately small for now: the array-native build
+#: is about twice as fast again at 512 (the per-level array-operation
+#: overhead amortises over more vectors), but the repository benchmark
+#: bounds a metric's run-to-run spread at 25 % of the *previous* commit's
+#: median, so it cannot resolve a build-throughput step much beyond 1.5x on
+#: a box whose speed drifts ~10 % between runs.  Raise it in steps (ROADMAP,
+#: "Open items") rather than at once.
+_BUILD_GENERATION_BATCH = 24
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
@@ -98,6 +106,53 @@ def _route_shards(route: np.ndarray) -> int:
     if not route.size:
         return 0
     return int(np.unique(route).size)
+
+
+def _first_filter_with_same_path(filters: FilterBatch) -> np.ndarray | None:
+    """Per filter of a batch, the index of the first filter with the same path.
+
+    ``None`` when no two filters share a folded key (then none share a path
+    either) — the common case for a single query.  Filters are grouped by
+    key with one stable sort; every repeat of a key is then compared
+    item-by-item against the group's first filter, and a group found to hold
+    two *distinct* paths (a 64-bit collision) is re-resolved exactly by path
+    content, so deduplicating on the result is as collision-free as
+    deduplicating on the paths themselves.
+    """
+    keys = filters.keys
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    repeats_key = sorted_keys[1:] == sorted_keys[:-1]
+    if not repeats_key.any():
+        return None
+    # Stable order: each equal-key run starts at its earliest filter.
+    starts_run = np.ones(keys.size, dtype=bool)
+    np.logical_not(repeats_key, out=starts_run[1:])
+    run_first = order[np.flatnonzero(starts_run)]
+    representative = np.empty(keys.size, dtype=OFFSET_DTYPE)
+    representative[order] = run_first[np.cumsum(starts_run) - 1]
+
+    repeats = order[1:][repeats_key]
+    originals = representative[repeats]
+    path_items = filters.path_items
+    path_offsets = filters.path_offsets
+    path_lengths = np.diff(path_offsets)
+    foreign = path_lengths[repeats] != path_lengths[originals]
+    same_length = np.flatnonzero(~foreign)
+    foreign[same_length] = _segments_differ(
+        path_items,
+        path_offsets[repeats[same_length]],
+        path_items,
+        path_offsets[originals[same_length]],
+        path_lengths[repeats[same_length]],
+    )
+    if foreign.any():
+        colliding = np.flatnonzero(np.isin(representative, originals[foreign]))
+        first_with_path: dict[tuple[int, tuple[int, ...]], int] = {}
+        for probe, key_group in zip(colliding.tolist(), representative[colliding].tolist()):
+            path = tuple(path_items[path_offsets[probe] : path_offsets[probe + 1]].tolist())
+            representative[probe] = first_with_path.setdefault((key_group, path), probe)
+    return representative
 
 
 class FilterEngine:
@@ -366,9 +421,10 @@ class FilterEngine:
         vectors are processed in chunks whose candidate extensions are
         hashed in one vectorised call per recursion level, which is
         substantially faster than per-vector generation while producing
-        exactly the same filters.  The generated postings land in the
-        stores' append-only buffers and are folded into the CSR arrays by
-        one vectorised bulk compaction per repetition at the end.
+        exactly the same filters.  Each chunk is prepared once and generated
+        per repetition; the resulting filter arrays go into the stores'
+        append-only overlays as they are and are folded into the CSR arrays
+        by one vectorised bulk compaction per repetition at the end.
         """
         build_start = time.perf_counter()
         self._vectors = [frozenset(int(item) for item in members) for members in collection]
@@ -378,23 +434,26 @@ class FilterEngine:
         self._removed_mask = None
         stats = BuildStats(num_vectors=len(self._vectors), repetitions=self._repetitions)
         counters = new_counters()
-        non_empty = [
-            (vector_id, sorted(members))
-            for vector_id, members in enumerate(self._vectors)
-            if members
-        ]
-        for generator, index in zip(self._generators, self._indexes):
-            for start in range(0, len(non_empty), _BUILD_GENERATION_BATCH):
-                chunk = non_empty[start : start + _BUILD_GENERATION_BATCH]
-                bounds = [self._threshold_policy.bind(members) for _, members in chunk]
-                results = generator.generate_batch(
-                    [members for _, members in chunk], bounds, counters=counters
+        non_empty = np.asarray(
+            [vector_id for vector_id, members in enumerate(self._vectors) if members],
+            dtype=ID_DTYPE,
+        )
+        for start in range(0, non_empty.size, _BUILD_GENERATION_BATCH):
+            vector_ids = non_empty[start : start + _BUILD_GENERATION_BATCH]
+            vectors = VectorBatch.bind(
+                [self._vectors[vector_id] for vector_id in vector_ids.tolist()],
+                self._threshold_policy,
+            )
+            for generator, index in zip(self._generators, self._indexes):
+                filters = generator.generate_batch(vectors, counters=counters)
+                index.add_csr(
+                    np.repeat(vector_ids, filters.filter_counts),
+                    filters.keys,
+                    filters.path_items,
+                    filters.path_offsets,
                 )
-                for (vector_id, _members), result in zip(chunk, results):
-                    index.add(vector_id, result.paths, keys=result.keys)
-                    stats.total_filters += len(result.paths)
-                    if result.truncated:
-                        stats.truncated_vectors += 1
+                stats.total_filters += filters.num_filters
+                stats.truncated_vectors += int(np.count_nonzero(filters.truncated))
                 stats.generation_batches += 1
         for index in self._indexes:
             index.compact()
@@ -428,9 +487,10 @@ class FilterEngine:
         if not vector:
             return vector_id
         counters = new_counters()
+        members = sorted(vector)
+        bound = self._threshold_policy.bind(members)
         for generator, index in zip(self._generators, self._indexes):
-            bound = self._threshold_policy.bind(sorted(vector))
-            result = generator.generate(sorted(vector), bound, counters=counters)
+            result = generator.generate(members, bound, counters=counters)
             index.add(vector_id, result.paths, keys=result.keys)
             self._build_stats.total_filters += len(result.paths)
             if result.truncated:
@@ -528,8 +588,7 @@ class FilterEngine:
         — RAM-mode and mmap-mode execution therefore report identical work
         (only ``shards_probed`` reflects the storage layout).
         """
-        members = sorted(query_set)
-        bound = self._threshold_policy.bind(members)
+        vectors = VectorBatch.bind([query_set], self._threshold_policy)
         evaluated = np.zeros(len(self._vectors), dtype=bool)
         removed = self._removed_lookup()
         membership = np.zeros(self._probabilities.size, dtype=bool)
@@ -542,16 +601,17 @@ class FilterEngine:
             # Even for one query the level-synchronous generator wins: it
             # hashes a whole frontier level per call instead of one call per
             # frontier entry, and produces bit-identical paths.
-            generation = self._generators[repetition].generate_batch(
-                [members], [bound], counters=counters
-            )[0]
-            stats.filters_generated += len(generation.paths)
+            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
+            stats.filters_generated += filters.num_filters
             stats.repetitions_used += 1
             inverted = self._indexes[repetition]
             # The routed probe reports which shard each key resolved to, so
             # shard accounting no longer routes the same keys a second time.
             ids, _offsets, route = inverted.probe_batch_routed(
-                generation.paths, generation.keys, shard_workers=self._shard_workers
+                filters.path_items,
+                filters.path_offsets,
+                filters.keys,
+                shard_workers=self._shard_workers,
             )
             stats.shards_probed += _route_shards(route)
             if not ids.size:
@@ -620,20 +680,20 @@ class FilterEngine:
         """CSR-native candidate enumeration: one probe gather per repetition,
         then a single sort/unique merge with a vectorised tombstone mask.
         Returns the sorted array of distinct live candidate ids."""
-        members = sorted(query_set)
-        bound = self._threshold_policy.bind(members)
+        vectors = VectorBatch.bind([query_set], self._threshold_policy)
         parts: list[np.ndarray] = []
         impl = get_impl()
         counters = new_counters()
         for repetition in range(self._repetitions):
-            generation = self._generators[repetition].generate_batch(
-                [members], [bound], counters=counters
-            )[0]
-            stats.filters_generated += len(generation.paths)
+            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
+            stats.filters_generated += filters.num_filters
             stats.repetitions_used += 1
             inverted = self._indexes[repetition]
             ids, _offsets, route = inverted.probe_batch_routed(
-                generation.paths, generation.keys, shard_workers=self._shard_workers
+                filters.path_items,
+                filters.path_offsets,
+                filters.keys,
+                shard_workers=self._shard_workers,
             )
             stats.shards_probed += _route_shards(route)
             stats.candidates_examined += int(ids.size)
@@ -942,16 +1002,16 @@ class FilterEngine:
     def _probe_chunk_repetition(
         self,
         inverted: InvertedFilterIndex,
-        generations: Sequence[PathGenerationResult],
+        filters: FilterBatch,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, int, int, int, np.ndarray] | None:
         """Resolve one repetition's probes for a whole chunk in one gather.
 
-        The generations' filters are concatenated and deduplicated *by path*
-        (two queries sharing a filter probe it once; deduplicating by folded
-        key alone would let a 64-bit collision hand one path's postings to
-        another — the chunk dedupe must stay as collision-free as
-        :meth:`InvertedFilterIndex.probe_batch` itself), resolved in one
+        The chunk's filters are deduplicated *by path* (two queries sharing
+        a filter probe it once; :func:`_first_filter_with_same_path` groups
+        them by folded key and verifies the paths, so the dedupe stays as
+        collision-free as :meth:`InvertedFilterIndex.probe_batch` itself).
+        The distinct probes (in first-appearance order) are resolved in one
         array probe (fanned out per shard when the store is sharded and
         ``shard_workers`` is set), and the posting segments are re-expanded
         to per-query collision streams.
@@ -966,54 +1026,61 @@ class FilterEngine:
         exactly once per chunk-repetition.  Returns ``None`` when no query
         generated any filter.
         """
-        position_by_path: dict[tuple[int, ...], int] = {}
-        unique_paths: list[tuple[int, ...]] = []
-        unique_keys: list[int] = []
-        inverse_list: list[int] = []
-        path_counts = np.empty(len(generations), dtype=np.int64)
-        for position, generation in enumerate(generations):
-            path_counts[position] = len(generation.paths)
-            for path, key in zip(generation.paths, generation.keys):
-                probe = position_by_path.setdefault(path, len(unique_paths))
-                if probe == len(unique_paths):
-                    unique_paths.append(path)
-                    unique_keys.append(key)
-                inverse_list.append(probe)
-        if not inverse_list:
+        num_filters = filters.num_filters
+        if not num_filters:
             return None
-        inverse = np.asarray(inverse_list, dtype=np.int64)
-        keys_arr = np.asarray(unique_keys, dtype=np.uint64)
+        representative = _first_filter_with_same_path(filters)
+        inverse: np.ndarray | None = None
+        if representative is None:
+            # No two filters even share a key: the chunk's filters are the
+            # probe set as they are, and the probe result is the stream.
+            distinct = num_filters
+            probe_items, probe_offsets, probe_keys = (
+                filters.path_items,
+                filters.path_offsets,
+                filters.keys,
+            )
+        else:
+            is_distinct = representative == np.arange(num_filters, dtype=OFFSET_DTYPE)
+            distinct_filters = np.flatnonzero(is_distinct)
+            inverse = (np.cumsum(is_distinct) - 1)[representative]
+            distinct = int(distinct_filters.size)
+            probe_lengths = np.diff(filters.path_offsets)[distinct_filters]
+            probe_items = _segment_gather(
+                filters.path_items, filters.path_offsets[distinct_filters], probe_lengths
+            )
+            probe_offsets = np.zeros(distinct + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(probe_lengths, out=probe_offsets[1:])
+            probe_keys = filters.keys[distinct_filters]
         ids, offsets, route = inverted.probe_batch_routed(
-            unique_paths, keys_arr, shard_workers=shard_workers
+            probe_items, probe_offsets, probe_keys, shard_workers=shard_workers
         )
         shards = _route_shards(route)
-        per_path = np.diff(offsets)[inverse]
-        occurrence_ids = _segment_gather(ids, offsets[:-1][inverse], per_path)
+        if inverse is None:
+            occurrence_ids, occurrence_bounds, filter_route = ids, offsets, route
+        else:
+            per_path = np.diff(offsets)[inverse]
+            occurrence_ids = _segment_gather(ids, offsets[:-1][inverse], per_path)
+            occurrence_bounds = np.zeros(num_filters + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(per_path, out=occurrence_bounds[1:])
+            filter_route = route[inverse]
         # Per-query boundaries of the expanded collision stream.
-        path_bounds = np.zeros(len(generations) + 1, dtype=np.int64)
-        np.cumsum(path_counts, out=path_bounds[1:])
-        occurrence_bounds = np.zeros(per_path.size + 1, dtype=np.int64)
-        np.cumsum(per_path, out=occurrence_bounds[1:])
-        query_offsets = occurrence_bounds[path_bounds]
-        # Per-query shard fan-out from the same routing vector (duplicate
-        # keys within a query route identically, so the dedupe is harmless).
-        occurrence_route = route[inverse]
-        query_shards = np.fromiter(
-            (
-                np.unique(occurrence_route[path_bounds[k] : path_bounds[k + 1]]).size
-                for k in range(len(generations))
-            ),
-            dtype=np.int64,
-            count=len(generations),
+        query_offsets = occurrence_bounds[filters.vector_offsets]
+        # Per-query shard fan-out from the same routing vector: mark the
+        # chunk's distinct (query, shard) pairs, count them per query.
+        num_queries = len(filters)
+        touched = np.zeros((num_queries, int(route.max()) + 1), dtype=bool)
+        filter_query = np.repeat(
+            np.arange(num_queries, dtype=OFFSET_DTYPE), filters.filter_counts
         )
-        distinct = len(unique_paths)
+        touched[filter_query, filter_route] = True
         return (
             occurrence_ids,
             query_offsets,
             distinct,
-            int(inverse.size) - distinct,
+            num_filters - distinct,
             shards,
-            query_shards,
+            touched.sum(axis=1),
         )
 
     def _query_batch_chunk(
@@ -1032,10 +1099,7 @@ class FilterEngine:
         active = [index for index, query_set in enumerate(chunk) if query_set]
         if not active:
             return results, chunk_stats
-        members = {index: sorted(chunk[index]) for index in active}
-        bounds = {
-            index: self._threshold_policy.bind(members[index]) for index in active
-        }
+        vectors: VectorBatch | None = None
         evaluated: dict[int, np.ndarray] = {index: _EMPTY_IDS for index in active}
         best: dict[int, tuple[int | None, float]] = {index: (None, -1.0) for index in active}
         membership = np.zeros(self._probabilities.size, dtype=bool)
@@ -1047,19 +1111,21 @@ class FilterEngine:
             if not active:
                 break
             generation_start = time.perf_counter()
-            generations = self._generators[repetition].generate_batch(
-                [members[index] for index in active],
-                [bounds[index] for index in active],
-                counters=counters,
-            )
+            if vectors is None or len(vectors) != len(active):
+                # Queries only ever leave the active set, so a changed size
+                # is the only way the prepared chunk can be stale.
+                vectors = VectorBatch.bind(
+                    [chunk[index] for index in active], self._threshold_policy
+                )
+            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
             chunk_stats.generation_seconds += time.perf_counter() - generation_start
             inverted = self._indexes[repetition]
-            for index, generation in zip(active, generations):
+            for index, count in zip(active, filters.filter_counts.tolist()):
                 query_stats = chunk_stats.per_query[index]
-                query_stats.filters_generated += len(generation.paths)
+                query_stats.filters_generated += count
                 query_stats.repetitions_used += 1
             merge_start = time.perf_counter()
-            probe = self._probe_chunk_repetition(inverted, generations, shard_workers)
+            probe = self._probe_chunk_repetition(inverted, filters, shard_workers)
             chunk_stats.merge_seconds += time.perf_counter() - merge_start
             if probe is None:
                 continue
@@ -1141,8 +1207,9 @@ class FilterEngine:
         active = [index for index, query_set in enumerate(chunk) if query_set]
         if not active:
             return results, chunk_stats
-        members = [sorted(chunk[index]) for index in active]
-        bounds = [self._threshold_policy.bind(items) for items in members]
+        generation_start = time.perf_counter()
+        vectors = VectorBatch.bind([chunk[index] for index in active], self._threshold_policy)
+        chunk_stats.generation_seconds += time.perf_counter() - generation_start
         id_parts: list[np.ndarray] = []
         label_parts: list[np.ndarray] = []
         impl = get_impl()
@@ -1150,17 +1217,15 @@ class FilterEngine:
 
         for repetition in range(self._repetitions):
             generation_start = time.perf_counter()
-            generations = self._generators[repetition].generate_batch(
-                members, bounds, counters=counters
-            )
+            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
             chunk_stats.generation_seconds += time.perf_counter() - generation_start
             inverted = self._indexes[repetition]
-            for index, generation in zip(active, generations):
+            for index, count in zip(active, filters.filter_counts.tolist()):
                 query_stats = chunk_stats.per_query[index]
-                query_stats.filters_generated += len(generation.paths)
+                query_stats.filters_generated += count
                 query_stats.repetitions_used += 1
             merge_start = time.perf_counter()
-            probe = self._probe_chunk_repetition(inverted, generations, shard_workers)
+            probe = self._probe_chunk_repetition(inverted, filters, shard_workers)
             if probe is not None:
                 occurrence_ids, query_offsets, distinct, duplicate, shards, query_shards = (
                     probe

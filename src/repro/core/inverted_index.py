@@ -16,11 +16,14 @@ occupies one *slot*, and the compacted state lives in five flat numpy arrays
 which is also, verbatim, the on-disk representation used by
 :mod:`repro.core.serialization` (one file holds the arrays, nothing else).
 
-Ingestion is append-only: :meth:`InvertedFilterIndex.add` pushes flat
-``(key, path, vector_id)`` postings onto a pending buffer without resolving
-slots, and :meth:`InvertedFilterIndex.compact` folds the whole buffer into
-the CSR arrays with one stable sort over the folded keys plus ``np.unique``
-style group detection — no per-posting dict lookups.  Slots end up ordered
+Ingestion is append-only and array-native: :meth:`InvertedFilterIndex.
+add_csr` appends one chunk of ``(vector id, key, path)`` postings — already
+flat arrays, exactly what the batched path generator emits — to a pending
+overlay without resolving slots (:meth:`InvertedFilterIndex.add` is the
+tuple entry point for a single vector), and :meth:`InvertedFilterIndex.
+compact` concatenates the chunks and folds them into the CSR arrays with one
+stable sort over the folded keys plus ``np.unique`` style group detection —
+no per-posting dict lookups.  Slots end up ordered
 by folded key, which doubles as the *probe table*: lookups (scalar and the
 batched :meth:`InvertedFilterIndex.probe_batch`) binary-search the sorted
 key array instead of going through a Python dict.  Because a 64-bit key
@@ -36,6 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.dtypes import ID_DTYPE, ITEM_DTYPE, KEY_DTYPE, OFFSET_DTYPE
 from repro.core.kernels import get_impl, new_counters
 from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path, fold_paths_csr
@@ -70,6 +74,33 @@ def _segment_gather(
     return source[indices]
 
 
+def _segments_differ(
+    left_items: np.ndarray,
+    left_starts: np.ndarray,
+    right_items: np.ndarray,
+    right_starts: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Per pair ``k``, whether two equally long item segments differ.
+
+    Compares ``left_items[left_starts[k] : left_starts[k] + lengths[k]]``
+    with the same-length segment of ``right_items`` — the exact path check
+    behind every folded-key match (compaction, probing, probe dedupe).
+    """
+    differ = np.zeros(lengths.size, dtype=bool)
+    check = np.flatnonzero(lengths > 0)
+    if check.size:
+        check_lengths = lengths[check]
+        mismatched = _segment_gather(
+            left_items, left_starts[check], check_lengths
+        ) != _segment_gather(right_items, right_starts[check], check_lengths)
+        if np.any(mismatched):
+            differ[check] = (
+                np.add.reduceat(mismatched, np.cumsum(check_lengths) - check_lengths) > 0
+            )
+    return differ
+
+
 class InvertedFilterIndex:
     """Maps each filter to the sorted list of vector ids that chose it."""
 
@@ -90,11 +121,10 @@ class InvertedFilterIndex:
         self._sorted_keys = np.empty(0, dtype=np.uint64)
         self._key_order = np.empty(0, dtype=np.int64)
         self._has_duplicate_keys = False
-        # Append-only overlay: one (key, path, vector id) triple per posting
-        # added since the last compact().  No slot resolution happens here.
-        self._pending_keys: list[int] = []
-        self._pending_paths: list[Path] = []
-        self._pending_ids: list[int] = []
+        # Append-only overlay: array chunks ``(vector ids, keys, path items,
+        # path offsets)``, one row per posting added since the last
+        # compact().  No slot resolution happens here.
+        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         self._total_entries = 0
         #: Kernel work counters accumulated by compaction (chain probes when
         #: forced collisions are resolved); callers fold them into BuildStats.
@@ -104,6 +134,55 @@ class InvertedFilterIndex:
     # Construction (append-only)
     # ------------------------------------------------------------------ #
 
+    def add_csr(
+        self,
+        vector_ids: np.ndarray,
+        keys: np.ndarray,
+        path_items: np.ndarray,
+        path_offsets: np.ndarray,
+    ) -> int:
+        """Register a chunk of postings given as flat arrays.  Returns its size.
+
+        Posting ``k`` files vector ``vector_ids[k]`` under the filter
+        ``path_items[path_offsets[k]:path_offsets[k + 1]]`` whose folded key
+        is ``keys[k]`` — the layout the batched path generator produces, so
+        a build ingests a whole generation chunk in one call.  The chunk
+        joins the pending overlay as-is and is merged into the CSR arrays by
+        the next :meth:`compact` (which every read path triggers
+        automatically).
+        """
+        vector_ids = np.ascontiguousarray(vector_ids, dtype=ID_DTYPE)
+        keys = np.ascontiguousarray(keys, dtype=KEY_DTYPE)
+        path_items = np.ascontiguousarray(path_items, dtype=ITEM_DTYPE)
+        path_offsets = np.ascontiguousarray(path_offsets, dtype=OFFSET_DTYPE)
+        if keys.size != vector_ids.size or path_offsets.size != vector_ids.size + 1:
+            raise ValueError(
+                f"got {keys.size} keys and {path_offsets.size - 1} paths for "
+                f"{vector_ids.size} postings; need one of each per posting"
+            )
+        if (
+            int(path_offsets[0]) != 0
+            or int(path_offsets[-1]) != path_items.size
+            or np.any(np.diff(path_offsets) < 0)
+        ):
+            raise ValueError("path_offsets do not describe the path_items array")
+        if vector_ids.size and int(vector_ids.min()) < 0:
+            raise ValueError("vector ids must be non-negative")
+        return self._append_chunk(vector_ids, keys, path_items, path_offsets)
+
+    def _append_chunk(
+        self,
+        vector_ids: np.ndarray,
+        keys: np.ndarray,
+        path_items: np.ndarray,
+        path_offsets: np.ndarray,
+    ) -> int:
+        """Queue one well-formed posting chunk on the pending overlay."""
+        if vector_ids.size:
+            self._pending.append((vector_ids, keys, path_items, path_offsets))
+            self._total_entries += int(vector_ids.size)
+        return int(vector_ids.size)
+
     def add(
         self,
         vector_id: int,
@@ -112,12 +191,10 @@ class InvertedFilterIndex:
     ) -> int:
         """Register all filters of one vector.  Returns the number added.
 
+        The tuple entry point (single inserts, tests): the paths are
+        flattened into one array chunk like :meth:`add_csr` takes.
         ``keys``, when given, must hold the folded key of each path (as
-        produced by the path generators); this skips the per-path re-fold on
-        the build hot path.  The postings land in a flat pending buffer and
-        are merged into the CSR arrays by the next :meth:`compact` (which
-        every read path triggers automatically), so the per-posting cost is
-        three list appends.
+        produced by the path generators); this skips the per-path re-fold.
         """
         if vector_id < 0:
             raise ValueError(f"vector_id must be non-negative, got {vector_id}")
@@ -128,11 +205,13 @@ class InvertedFilterIndex:
             raise ValueError(
                 f"got {len(keys)} keys for {len(paths)} paths; need one per path"
             )
-        self._pending_paths.extend(paths)
-        self._pending_keys.extend(int(key) for key in keys)
-        self._pending_ids.extend([vector_id] * len(paths))
-        self._total_entries += len(paths)
-        return len(paths)
+        path_items, path_offsets = paths_to_csr(paths)
+        return self._append_chunk(
+            np.full(len(paths), vector_id, dtype=ID_DTYPE),
+            np.asarray(keys, dtype=KEY_DTYPE),
+            path_items,
+            path_offsets,
+        )
 
     def add_many(self, filters_per_vector: Sequence[Iterable[Path]]) -> int:
         """Register filters of many vectors, ids being their positions."""
@@ -144,15 +223,14 @@ class InvertedFilterIndex:
     def add_postings(self, path: Path, vector_ids: Sequence[int]) -> None:
         """Restore a full posting list for one filter (used when loading a
         serialised index); appends to any existing postings for that filter."""
-        vector_ids = [int(v) for v in vector_ids]
-        if any(vector_id < 0 for vector_id in vector_ids):
-            raise ValueError("vector ids must be non-negative")
         path = tuple(path)
-        key = fold_path(path)
-        self._pending_paths.extend([path] * len(vector_ids))
-        self._pending_keys.extend([key] * len(vector_ids))
-        self._pending_ids.extend(vector_ids)
-        self._total_entries += len(vector_ids)
+        count = len(vector_ids)
+        self.add_csr(
+            np.asarray(vector_ids, dtype=ID_DTYPE),
+            np.full(count, fold_path(path), dtype=KEY_DTYPE),
+            np.tile(np.asarray(path, dtype=ITEM_DTYPE), count),
+            np.arange(count + 1, dtype=OFFSET_DTYPE) * len(path),
+        )
 
     # ------------------------------------------------------------------ #
     # Compaction (vectorised bulk ingestion)
@@ -171,13 +249,18 @@ class InvertedFilterIndex:
         genuinely share a 64-bit key, compaction falls back to an exact
         chained merge.  Idempotent and cheap when nothing is pending.
         """
-        if not self._pending_keys:
+        if not self._pending:
             return
 
-        pending_keys = np.asarray(self._pending_keys, dtype=np.uint64)
-        pending_ids = np.asarray(self._pending_ids, dtype=np.int64)
-        pending_items, pending_offsets = paths_to_csr(self._pending_paths)
+        pending_ids = np.concatenate([chunk[0] for chunk in self._pending])
+        pending_keys = np.concatenate([chunk[1] for chunk in self._pending])
+        pending_items = np.concatenate([chunk[2] for chunk in self._pending])
         num_pending = pending_keys.size
+        pending_offsets = np.zeros(num_pending + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(
+            np.concatenate([np.diff(chunk[3]) for chunk in self._pending]),
+            out=pending_offsets[1:],
+        )
         frozen_slots = self._path_keys.size
         frozen_counts = np.diff(self._posting_offsets)
 
@@ -255,7 +338,7 @@ class InvertedFilterIndex:
         self._sorted_keys = self._path_keys
         self._key_order = np.arange(starts.size, dtype=np.int64)
         self._has_duplicate_keys = False
-        self._clear_pending()
+        self._pending = []
 
     @staticmethod
     def _inconsistent_groups(
@@ -286,22 +369,14 @@ class InvertedFilterIndex:
         right = right[differing]
         lengths = table_lengths[left]
         dirty = lengths != table_lengths[right]
-        check = np.flatnonzero(~dirty & (lengths > 0))
-        if check.size:
-            check_lengths = lengths[check]
-            left_items = _segment_gather(
-                table_items, table_offsets[left[check]], check_lengths
-            )
-            right_items = _segment_gather(
-                table_items, table_offsets[right[check]], check_lengths
-            )
-            mismatched = left_items != right_items
-            if np.any(mismatched):
-                bad = (
-                    np.add.reduceat(mismatched, np.cumsum(check_lengths) - check_lengths)
-                    > 0
-                )
-                dirty[check[bad]] = True
+        check = np.flatnonzero(~dirty)
+        dirty[check] = _segments_differ(
+            table_items,
+            table_offsets[left[check]],
+            table_items,
+            table_offsets[right[check]],
+            lengths[check],
+        )
         if not np.any(dirty):
             return empty
         return np.unique(group_ids[adjacent[dirty] + 1])
@@ -384,12 +459,7 @@ class InvertedFilterIndex:
         self._sorted_keys = self._path_keys
         self._key_order = np.arange(num_slots, dtype=np.int64)
         self._has_duplicate_keys = True
-        self._clear_pending()
-
-    def _clear_pending(self) -> None:
-        self._pending_keys = []
-        self._pending_paths = []
-        self._pending_ids = []
+        self._pending = []
 
     def _build_probe_tables(self) -> None:
         self._key_order = np.argsort(self._path_keys, kind="stable").astype(np.int64)
@@ -575,13 +645,17 @@ class InvertedFilterIndex:
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_batch_routed` without the per-probe shard routes."""
-        ids, offsets, _route = self.probe_batch_routed(paths, keys, shard_workers)
+        """:meth:`probe_batch_routed` for tuple paths, without the routes."""
+        probe_items, probe_offsets = paths_to_csr(paths)
+        ids, offsets, _route = self.probe_batch_routed(
+            probe_items, probe_offsets, keys, shard_workers
+        )
         return ids, offsets
 
     def probe_batch_routed(
         self,
-        paths: Sequence[Path],
+        probe_items: np.ndarray,
+        probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -589,11 +663,13 @@ class InvertedFilterIndex:
 
         Parameters
         ----------
-        paths:
-            The probed filters (used only to verify stored paths exactly, so
-            a 64-bit key collision cannot surface foreign postings).
+        probe_items, probe_offsets:
+            The probed filters in CSR form — probe ``k`` is the item
+            sequence ``probe_items[probe_offsets[k]:probe_offsets[k + 1]]``
+            (used only to verify stored paths exactly, so a 64-bit key
+            collision cannot surface foreign postings).
         keys:
-            The folded key of each path, as returned by the generators.
+            The folded key of each probe, as returned by the generators.
         shard_workers:
             Accepted for interface parity with the sharded (mmap) store and
             ignored — the in-memory store has a single probe table.
@@ -603,18 +679,18 @@ class InvertedFilterIndex:
         (posting_ids, offsets, route):
             ``posting_ids`` is the concatenation of every probe's posting
             list (a gather from the store, in probe order) and ``offsets``
-            has length ``len(paths) + 1`` with probe ``k`` occupying
+            has length ``num_probes + 1`` with probe ``k`` occupying
             ``posting_ids[offsets[k]:offsets[k + 1]]``.  Missing filters
             contribute empty segments.  ``route`` holds the shard index each
             probe key routes to — all zeros here, since the in-memory store
             is a single shard — so callers account shard fan-out from the
             probe itself instead of re-routing the same keys.  This is the
             query hot path: one ``searchsorted`` resolves the whole probe
-            set against the sorted key table, and no per-path Python list is
-            materialised.
+            set against the sorted key table, and the probes arrive as the
+            arrays the generators produced — no per-path Python object.
         """
         self.compact()
-        num_probes = len(paths)
+        num_probes = len(probe_offsets) - 1
         empty = np.empty(0, dtype=np.int64)
         route = np.zeros(num_probes, dtype=np.int64)
         if num_probes == 0:
@@ -630,28 +706,27 @@ class InvertedFilterIndex:
         slots = np.where(found, self._key_order[clipped], 0)
 
         # Exact path verification, vectorised: lengths first, then items.
-        probe_items, probe_offsets = paths_to_csr(paths)
         probe_lengths = np.diff(probe_offsets)
         slot_lengths = self._path_offsets[slots + 1] - self._path_offsets[slots]
         match = found & (slot_lengths == probe_lengths)
-        check = np.flatnonzero(match & (probe_lengths > 0))
-        if check.size:
-            lengths = probe_lengths[check]
-            stored = _segment_gather(
-                self._path_items, self._path_offsets[slots[check]], lengths
-            )
-            probed = _segment_gather(probe_items, probe_offsets[check], lengths)
-            mismatched = stored != probed
-            if np.any(mismatched):
-                bad = np.add.reduceat(mismatched, np.cumsum(lengths) - lengths) > 0
-                match[check[bad]] = False
+        check = np.flatnonzero(match)
+        match[check] = ~_segments_differ(
+            self._path_items,
+            self._path_offsets[slots[check]],
+            probe_items,
+            probe_offsets[check],
+            probe_lengths[check],
+        )
 
         if self._has_duplicate_keys:
             # Slots with shared keys (forced collisions) need the chained
             # scan: re-resolve every probe whose key exists in the table but
             # whose first-position slot did not verify.
             for probe in np.flatnonzero(found & ~match).tolist():
-                slot = self._slot_for(tuple(paths[probe]), int(keys_arr[probe]))
+                path = tuple(
+                    probe_items[probe_offsets[probe] : probe_offsets[probe + 1]].tolist()
+                )
+                slot = self._slot_for(path, int(keys_arr[probe]))
                 if slot is not None:
                     slots[probe] = slot
                     match[probe] = True

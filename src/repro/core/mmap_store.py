@@ -37,7 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.inverted_index import InvertedFilterIndex, _segment_gather
+from repro.core.inverted_index import InvertedFilterIndex, _segment_gather, _segments_differ
 from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path
 
@@ -112,15 +112,14 @@ def probe_sorted_arrays(
 
     slot_lengths = path_offsets[slots + 1] - path_offsets[slots]
     match = found & (slot_lengths == probe_lengths)
-    check = np.flatnonzero(match & (probe_lengths > 0))
-    if check.size:
-        lengths = probe_lengths[check]
-        stored = _segment_gather(path_items, path_offsets[slots[check]], lengths)
-        probed = _segment_gather(probe_items, probe_starts[check], lengths)
-        mismatched = stored != probed
-        if np.any(mismatched):
-            bad = np.add.reduceat(mismatched, np.cumsum(lengths) - lengths) > 0
-            match[check[bad]] = False
+    check = np.flatnonzero(match)
+    match[check] = ~_segments_differ(
+        path_items,
+        path_offsets[slots[check]],
+        probe_items,
+        probe_starts[check],
+        probe_lengths[check],
+    )
 
     if has_duplicate_keys:
         for probe in np.flatnonzero(found & ~match).tolist():
@@ -370,34 +369,37 @@ class ShardedInvertedFilterIndex:
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_batch_routed` without the per-probe shard routes."""
-        ids, offsets, _route = self.probe_batch_routed(paths, keys, shard_workers)
+        """:meth:`probe_batch_routed` for tuple paths, without the routes."""
+        probe_items, probe_offsets = paths_to_csr(paths)
+        ids, offsets, _route = self.probe_batch_routed(
+            probe_items, probe_offsets, keys, shard_workers
+        )
         return ids, offsets
 
     def probe_batch_routed(
         self,
-        paths: Sequence[Path],
+        probe_items: np.ndarray,
+        probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve many probes at once; CSR slices of their posting lists.
 
         Same contract as :meth:`InvertedFilterIndex.probe_batch_routed` —
-        one concatenated ``posting_ids`` array plus ``len(paths) + 1``
-        offsets, in probe order, missing filters contributing empty segments
-        and results bit-identical to probing the unsharded store.  Each
-        probe key is routed to its shard via the manifest fences, and the
-        computed ``route`` (shard index per probe) is returned so callers
-        can account shard fan-out without re-routing the same keys; with
-        ``shard_workers`` set (or the instance default), independent shards
-        resolve and gather concurrently on a thread pool.
+        probes in CSR form, one concatenated ``posting_ids`` array plus
+        ``num_probes + 1`` offsets, in probe order, missing filters
+        contributing empty segments and results bit-identical to probing
+        the unsharded store.  Each probe key is routed to its shard via the
+        manifest fences, and the computed ``route`` (shard index per probe)
+        is returned so callers can account shard fan-out without re-routing
+        the same keys; with ``shard_workers`` set (or the instance default),
+        independent shards resolve and gather concurrently on a thread pool.
         """
-        num_probes = len(paths)
+        num_probes = len(probe_offsets) - 1
         empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
             return empty, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
-        probe_items, probe_offsets = paths_to_csr(paths)
         probe_starts = probe_offsets[:-1]
         probe_lengths = np.diff(probe_offsets)
         route = route_keys(self._fences, keys_arr)

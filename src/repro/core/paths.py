@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.dtypes import ITEM_DTYPE, KEY_DTYPE, OFFSET_DTYPE
 from repro.core.kernels import KEYS_FOLDED, PATHS_EXTENDED, get_impl, new_counters
-from repro.core.thresholds import BoundThreshold
+from repro.core.thresholds import BatchBoundThreshold, BoundThreshold, ThresholdPolicy
 from repro.hashing.pairwise import EMPTY_PATH_KEY, PathHasher, extend_key, fold_path
 
 Path = tuple[int, ...]
@@ -35,19 +38,19 @@ def paths_to_csr(paths: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     """Flatten a list of paths into CSR form ``(items, offsets)``.
 
     Path ``k`` occupies ``items[offsets[k]:offsets[k + 1]]``.  This is the
-    bridge between the tuple-of-ints world of the generators and the
-    array-native probe/merge pipeline: the inverted index consumes the CSR
-    view for vectorised path verification and bulk ingestion.
+    bridge from tuples of ints to the array-native filter flow, for the
+    places that still start from tuples: the serial generator's results,
+    the small-batch tuple frontier, and the tuple convenience entry points
+    of the stores (``add``, ``probe_batch``).
     """
-    lengths = np.fromiter((len(path) for path in paths), dtype=np.int64, count=len(paths))
-    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    items = np.fromiter(
-        (item for path in paths for item in path),
-        dtype=np.int64,
-        count=int(offsets[-1]),
-    )
+    offsets = _running_offsets(map(len, paths), len(paths))
+    items = np.fromiter(chain.from_iterable(paths), dtype=ITEM_DTYPE, count=int(offsets[-1]))
     return items, offsets
+
+
+def _running_offsets(lengths: Iterable[int], count: int) -> np.ndarray:
+    """CSR offsets ``[0, l0, l0 + l1, ...]`` of ``count`` segment lengths."""
+    return np.fromiter(accumulate(lengths, initial=0), dtype=OFFSET_DTYPE, count=count + 1)
 
 
 #: Batches of at most this many vectors take the tuple-frontier path in
@@ -64,13 +67,15 @@ class _SmallBatchState:
     Frontier entries are ``(path, prefix_key, log_product, positions)``
     tuples, where ``positions`` lists the vector's (sorted) item positions
     still available for extension — a child inherits its parent's list minus
-    the item just consumed.
+    the item just consumed.  ``base`` is the vector's offset into the
+    batch's concatenated item array (and so into the per-level probabilities).
     """
 
     __slots__ = (
         "items",
+        "item_array",
         "log_probs",
-        "bound",
+        "base",
         "frontier",
         "finished_paths",
         "finished_keys",
@@ -81,14 +86,16 @@ class _SmallBatchState:
 
     def __init__(
         self,
-        items: list[int],
+        item_array: np.ndarray,
         log_probs: list[float],
-        bound: BoundThreshold,
+        base: int,
         root_key: int,
     ):
+        items: list[int] = item_array.tolist()
         self.items = items
+        self.item_array = item_array
         self.log_probs = log_probs
-        self.bound = bound
+        self.base = base
         self.frontier: list[tuple[Path, int, float, list[int]]] = (
             [((), root_key, 0.0, list(range(len(items))))] if items else []
         )
@@ -137,6 +144,133 @@ class PathGenerationResult:
                 f"got {len(self.keys)} keys for {len(self.paths)} paths; "
                 "need exactly one key per path"
             )
+
+
+@dataclass(frozen=True)
+class VectorBatch:
+    """The generation input of one chunk of vectors, prepared once.
+
+    Holds what every repetition's generator needs and none of them changes:
+    each vector's items sorted ascending in one CSR array, the chunk's
+    batch-bound thresholds (which memoise their per-level probabilities),
+    and the root frontier of the kernel pipeline.  Callers :meth:`bind` a
+    chunk once and pass it to :meth:`PathGenerator.generate_batch` per
+    repetition.
+    """
+
+    items: np.ndarray
+    item_offsets: np.ndarray
+    bounds: BatchBoundThreshold
+
+    @classmethod
+    def bind(
+        cls, items_per_vector: Sequence[Iterable[int]], policy: ThresholdPolicy
+    ) -> "VectorBatch":
+        """Sort every vector's items and bind ``policy`` to the whole chunk."""
+        sorted_vectors = [sorted(map(int, members)) for members in items_per_vector]
+        item_offsets = _running_offsets(map(len, sorted_vectors), len(sorted_vectors))
+        items = np.fromiter(
+            chain.from_iterable(sorted_vectors), dtype=ITEM_DTYPE, count=int(item_offsets[-1])
+        )
+        return cls(items, item_offsets, policy.bind_batch(items, item_offsets))
+
+    def __len__(self) -> int:
+        return self.item_offsets.size - 1
+
+    @cached_property
+    def root_frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(vectors, masks)`` of the level-0 frontier, one entry per non-empty vector.
+
+        ``masks[r]`` holds the bitmask words of vector ``vectors[r]`` with
+        one bit set per item position (bit ``p`` = position ``p``,
+        little-endian).  Only the kernel pipeline reads it; small batches
+        never pay for it.
+        """
+        sizes = np.diff(self.item_offsets)
+        non_empty = np.flatnonzero(sizes)
+        word_count = max(1, (int(sizes.max(initial=0)) + 63) >> 6)
+        available = np.arange(word_count * 64, dtype=OFFSET_DTYPE) < sizes[non_empty, None]
+        masks = np.packbits(available, axis=1, bitorder="little").view(np.uint64)
+        masks.flags.writeable = False  # shared by every repetition's level 0
+        return non_empty, masks
+
+
+@dataclass(frozen=True)
+class FilterBatch:
+    """The filters of a batch of vectors as flat arrays — no tuples.
+
+    Filter ``f`` is the item sequence ``path_items[path_offsets[f]:
+    path_offsets[f + 1]]`` with folded key ``keys[f]``; vector ``k`` of the
+    batch owns the filters ``vector_offsets[k]:vector_offsets[k + 1]``, in
+    the serial generator's order.  ``truncated`` and ``expansions`` are per
+    vector.  This is what the stores ingest and probe directly; indexing the
+    batch (``batch[k]``) materialises one vector's filters as the tuple-based
+    :class:`PathGenerationResult`, which only tests and diagnostics need.
+    """
+
+    path_items: np.ndarray
+    path_offsets: np.ndarray
+    keys: np.ndarray
+    vector_offsets: np.ndarray
+    truncated: np.ndarray
+    expansions: np.ndarray
+
+    @classmethod
+    def from_results(cls, results: Sequence[PathGenerationResult]) -> "FilterBatch":
+        """Flatten per-vector tuple results (the small-batch path's output)."""
+        path_items, path_offsets = paths_to_csr(
+            [path for result in results for path in result.paths]
+        )
+        return cls(
+            path_items=path_items,
+            path_offsets=path_offsets,
+            keys=np.fromiter(
+                chain.from_iterable(result.keys for result in results),
+                dtype=KEY_DTYPE,
+                count=path_offsets.size - 1,
+            ),
+            vector_offsets=_running_offsets(
+                (len(result.paths) for result in results), len(results)
+            ),
+            truncated=np.array([result.truncated for result in results], dtype=np.bool_),
+            expansions=np.array(
+                [result.expansions for result in results], dtype=OFFSET_DTYPE
+            ),
+        )
+
+    def __len__(self) -> int:
+        """Number of vectors in the batch."""
+        return self.vector_offsets.size - 1
+
+    @property
+    def num_filters(self) -> int:
+        return self.keys.size
+
+    @property
+    def filter_counts(self) -> np.ndarray:
+        """Number of filters of each vector."""
+        return np.diff(self.vector_offsets)
+
+    def __getitem__(self, vector: int) -> PathGenerationResult:
+        """One vector's filters as tuples (materialised on demand)."""
+        if not 0 <= vector < len(self):
+            raise IndexError(f"vector {vector} is out of range for a batch of {len(self)}")
+        start = int(self.vector_offsets[vector])
+        end = int(self.vector_offsets[vector + 1])
+        bounds = self.path_offsets[start : end + 1].tolist()
+        items = self.path_items[bounds[0] : bounds[-1]].tolist()
+        return PathGenerationResult(
+            paths=[
+                tuple(items[low - bounds[0] : high - bounds[0]])
+                for low, high in zip(bounds, bounds[1:])
+            ],
+            truncated=bool(self.truncated[vector]),
+            expansions=int(self.expansions[vector]),
+            keys=self.keys[start:end].tolist(),
+        )
+
+    def __iter__(self) -> Iterator[PathGenerationResult]:
+        return (self[vector] for vector in range(len(self)))
 
 
 class PathGenerator:
@@ -196,6 +330,7 @@ class PathGenerator:
         self._collect_at_max_depth = bool(collect_at_max_depth)
         self._max_paths = max_paths
         self._probability_floor = float(probability_floor)
+        self._log_probabilities: np.ndarray | None = None
 
     @property
     def max_depth(self) -> int:
@@ -208,11 +343,13 @@ class PathGenerator:
     def ensure_hash_levels(self) -> None:
         """Pre-instantiate every hash level this generator can reach.
 
-        The per-level hash functions are created lazily; calling this before
-        fanning generation out over worker threads guarantees the shared
-        family is only ever read concurrently.
+        The per-level hash functions (and the log-probability table of the
+        batched path) are created lazily; calling this before fanning
+        generation out over worker threads guarantees the shared state is
+        only ever read concurrently.
         """
         self._hasher.ensure_levels(self._max_depth)
+        self._log_table()
 
     def generate(
         self,
@@ -334,95 +471,70 @@ class PathGenerator:
         )
 
     def generate_batch(
-        self,
-        items_per_vector: Sequence[Sequence[int]],
-        thresholds: Sequence[BoundThreshold],
-        counters: np.ndarray | None = None,
-    ) -> list[PathGenerationResult]:
+        self, vectors: VectorBatch, counters: np.ndarray | None = None
+    ) -> FilterBatch:
         """Generate the filters of many vectors in one level-synchronous pass.
 
-        Semantically equivalent to ``[generate(items, bound) for items, bound
-        in zip(...)]`` — every vector's paths come back in the same order,
-        with the same truncation behaviour — but the whole batch frontier is
-        carried as flat CSR arrays (extended keys, available-item bitmask
-        words, log products) and each level is extended by a single
-        ``extend_level`` kernel call (:func:`repro.core.kernels.get_impl`),
-        so the per-candidate work runs in compiled or vectorised code instead
-        of a Python loop per frontier tuple.  Paths only materialise as
-        tuples at the very end, by walking a parent-pointer arena.
+        Semantically equivalent to calling :meth:`generate` per vector —
+        every vector's paths come back in the same order, with the same
+        truncation behaviour — but the whole batch frontier is carried as
+        flat CSR arrays (extended keys, available-item bitmask words, log
+        products) and each level is extended by a single ``extend_level``
+        kernel call (:func:`repro.core.kernels.get_impl`).  Chosen
+        extensions land in a parent-pointer arena from which the finished
+        paths are written straight into the returned :class:`FilterBatch`
+        arrays, one vectorised pass per path position; no per-filter Python
+        object is created.
 
-        ``counters`` (optional, from :func:`repro.core.kernels.new_counters`)
-        accumulates the kernel's per-stage work counts.
+        ``vectors`` is repetition-independent, so callers prepare it once per
+        chunk and hand it to every repetition's generator.  ``counters``
+        (optional, from :func:`repro.core.kernels.new_counters`) accumulates
+        the kernel's per-stage work counts.
         """
-        if len(items_per_vector) != len(thresholds):
-            raise ValueError("need exactly one threshold per vector")
-        num_vectors = len(items_per_vector)
+        num_vectors = len(vectors)
         if num_vectors == 0:
-            return []
+            return FilterBatch.from_results([])
         if counters is None:
             counters = new_counters()
         if num_vectors <= _SMALL_BATCH_MAX:
-            return self._generate_batch_small(items_per_vector, thresholds, counters)
+            return self._generate_batch_small(vectors, counters)
         impl = get_impl()
-
-        # --- per-vector universes: sorted items + clamped log-probabilities ---
-        bounds = list(thresholds)
-        vec_item_arrays: list[np.ndarray] = []
-        item_offsets = np.zeros(num_vectors + 1, dtype=np.int64)
-        max_items = 0
-        for index, members in enumerate(items_per_vector):
-            sorted_items = sorted(int(item) for item in members)
-            if sorted_items and (
-                sorted_items[0] < 0 or sorted_items[-1] >= self._probabilities.size
-            ):
-                raise ValueError("vector contains an item outside the universe")
-            item_array = np.asarray(sorted_items, dtype=np.int64)
-            vec_item_arrays.append(item_array)
-            item_offsets[index + 1] = item_offsets[index] + item_array.size
-            max_items = max(max_items, item_array.size)
-        items_concat = np.concatenate(vec_item_arrays) if max_items else np.zeros(0, dtype=np.int64)
-        if items_concat.size:
-            clamped = np.maximum(self._probabilities[items_concat], self._probability_floor)
-            # math.log per element keeps the values bit-identical to the
-            # serial generator's per-item math.log calls.
-            logs_concat = np.array(
-                [math.log(value) for value in clamped.tolist()], dtype=np.float64
-            )
-        else:
-            logs_concat = np.zeros(0, dtype=np.float64)
+        items_concat = vectors.items
+        item_offsets = vectors.item_offsets
+        if items_concat.size and (
+            int(items_concat.min()) < 0 or int(items_concat.max()) >= self._probabilities.size
+        ):
+            raise ValueError("vector contains an item outside the universe")
+        logs_concat = self._log_table()[items_concat]
 
         # --- root frontier: one entry per non-empty vector ---------------
         # Frontier entry fields, index-parallel and grouped by vector
         # ascending: owning vector, extended path key, log product, arena
         # node of the last item (-1 for the root), and the available-item
         # bitmask (bit p set = vector item position p still usable).
-        f_vec = np.flatnonzero(np.diff(item_offsets)).astype(np.int64)
-        word_count = max(1, (max_items + 63) >> 6)
-        f_keys = np.full(f_vec.size, np.uint64(EMPTY_PATH_KEY), dtype=np.uint64)
+        f_vec, f_masks = vectors.root_frontier
+        f_keys = np.full(f_vec.size, np.uint64(EMPTY_PATH_KEY), dtype=KEY_DTYPE)
         f_logs = np.zeros(f_vec.size, dtype=np.float64)
-        f_nodes = np.full(f_vec.size, -1, dtype=np.int64)
-        f_masks = np.zeros((f_vec.size, word_count), dtype=np.uint64)
-        for row, vector in enumerate(f_vec.tolist()):
-            size = int(item_offsets[vector + 1] - item_offsets[vector])
-            full_words, remainder = divmod(size, 64)
-            f_masks[row, :full_words] = np.uint64(0xFFFFFFFFFFFFFFFF)
-            if remainder:
-                f_masks[row, full_words] = np.uint64((1 << remainder) - 1)
+        f_nodes = np.full(f_vec.size, -1, dtype=OFFSET_DTYPE)
 
-        # Parent-pointer arena of every chosen extension; finished paths and
-        # surviving frontier entries are materialised from it at the end.
+        # Parent-pointer arena of every chosen extension, one chunk per
+        # level; finished paths and surviving frontier entries are written
+        # out from it at the end.
         arena_items: list[np.ndarray] = []
         arena_parents: list[np.ndarray] = []
         arena_size = 0
-        finished_vec_parts: list[np.ndarray] = []
-        finished_node_parts: list[np.ndarray] = []
-        finished_key_parts: list[np.ndarray] = []
-        finished_counts = np.zeros(num_vectors, dtype=np.int64)
-        expansions = np.zeros(num_vectors, dtype=np.int64)
+        # Filter records (owning vector, arena node, folded key): finished
+        # paths level by level, then — for ``collect_at_max_depth`` — the
+        # frontiers left behind.
+        filter_vec_parts = [np.zeros(0, dtype=OFFSET_DTYPE)]
+        filter_node_parts = [np.zeros(0, dtype=OFFSET_DTYPE)]
+        filter_key_parts = [np.zeros(0, dtype=KEY_DTYPE)]
+        finished_counts = np.zeros(num_vectors, dtype=OFFSET_DTYPE)
+        expansions = np.zeros(num_vectors, dtype=OFFSET_DTYPE)
         truncated = np.zeros(num_vectors, dtype=np.bool_)
-        #: Final frontier of vectors stopped by ``max_paths``: children chosen
+        #: Final frontiers of vectors stopped by ``max_paths``: children chosen
         #: up to the cutoff, exactly what the serial generator leaves behind.
-        parked: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        parked_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
         use_stop = self._stop_product is not None
         log_stop = math.log(self._stop_product) if self._stop_product is not None else 0.0
@@ -442,29 +554,22 @@ class PathGenerator:
                 # leaving the level loop.
                 f_vec = f_vec[:0]
                 f_keys = f_keys[:0]
-                f_logs = f_logs[:0]
                 f_nodes = f_nodes[:0]
-                f_masks = f_masks[:0]
                 break
             counts = np.bincount(entry_index, minlength=f_vec.size)
             used_entries = np.flatnonzero(counts)
             entry_vector = f_vec[used_entries]
-            entry_offsets = np.zeros(used_entries.size + 1, dtype=np.int64)
+            entry_offsets = np.zeros(used_entries.size + 1, dtype=OFFSET_DTYPE)
             np.cumsum(counts[used_entries], out=entry_offsets[1:])
 
             cand_vec = f_vec[entry_index]
             gather = item_offsets[cand_vec] + position
             cand_items = items_concat[gather]
 
-            # Thresholds are elementwise-pure, so evaluating each vector's
+            # Thresholds are elementwise-pure, so evaluating every vector's
             # item universe once per level and gathering per candidate is
             # bit-identical to per-entry evaluation.
-            level_probs = np.empty(items_concat.size, dtype=np.float64)
-            for vector in np.unique(cand_vec).tolist():
-                segment = slice(int(item_offsets[vector]), int(item_offsets[vector + 1]))
-                level_probs[segment] = bounds[vector].sampling_probabilities(
-                    level, vec_item_arrays[vector]
-                )
+            level_probs = vectors.bounds.item_probabilities(level)
 
             coeff_a, coeff_b = self._hasher.level_coefficients(level)
             new_keys, status, new_logs, level_expansions, level_truncated = impl.extend_level(
@@ -490,7 +595,7 @@ class PathGenerator:
             kept_status = status[kept]
             kept_vec = cand_vec[kept]
             kept_keys = new_keys[kept]
-            node_ids = arena_size + np.arange(kept.size, dtype=np.int64)
+            node_ids = arena_size + np.arange(kept.size, dtype=OFFSET_DTYPE)
             arena_items.append(cand_items[kept])
             arena_parents.append(f_nodes[entry_index[kept]])
             arena_size += int(kept.size)
@@ -498,9 +603,9 @@ class PathGenerator:
             finished_sel = kept_status == 2
             if finished_sel.any():
                 finished_vectors = kept_vec[finished_sel]
-                finished_vec_parts.append(finished_vectors)
-                finished_node_parts.append(node_ids[finished_sel])
-                finished_key_parts.append(kept_keys[finished_sel])
+                filter_vec_parts.append(finished_vectors)
+                filter_node_parts.append(node_ids[finished_sel])
+                filter_key_parts.append(kept_keys[finished_sel])
                 finished_counts += np.bincount(finished_vectors, minlength=num_vectors)
 
             child_sel = kept_status == 1
@@ -512,7 +617,7 @@ class PathGenerator:
             child_positions = position[child_cand]
             child_masks = f_masks[entry_index[child_cand]]
             if child_positions.size:
-                rows = np.arange(child_positions.size, dtype=np.int64)
+                rows = np.arange(child_positions.size, dtype=OFFSET_DTYPE)
                 child_masks[rows, child_positions >> 6] &= ~(
                     np.uint64(1) << (child_positions & 63).astype(np.uint64)
                 )
@@ -520,12 +625,9 @@ class PathGenerator:
             if level_truncated.any():
                 truncated |= level_truncated
                 parked_sel = level_truncated[child_vec]
-                for vector in np.flatnonzero(level_truncated).tolist():
-                    vector_children = child_vec == vector
-                    parked[int(vector)] = (
-                        child_nodes[vector_children],
-                        child_keys[vector_children],
-                    )
+                parked_parts.append(
+                    (child_vec[parked_sel], child_nodes[parked_sel], child_keys[parked_sel])
+                )
                 live = ~parked_sel
                 child_vec = child_vec[live]
                 child_keys = child_keys[live]
@@ -539,74 +641,70 @@ class PathGenerator:
             f_nodes = child_nodes
             f_masks = np.ascontiguousarray(child_masks)
 
-        # --- materialisation: walk parent pointers back to path tuples ----
-        if arena_size:
-            all_node_items = np.concatenate(arena_items)
-            all_node_parents = np.concatenate(arena_parents)
-        else:
-            all_node_items = np.zeros(0, dtype=np.int64)
-            all_node_parents = np.zeros(0, dtype=np.int64)
+        if self._collect_at_max_depth:
+            # A vector is either parked (truncated) or still in the frontier,
+            # never both, and the stable sort below keeps these records after
+            # the vector's finished paths — the serial collection order.
+            for part_vec, part_nodes, part_keys in parked_parts:
+                filter_vec_parts.append(part_vec)
+                filter_node_parts.append(part_nodes)
+                filter_key_parts.append(part_keys)
+            filter_vec_parts.append(f_vec)
+            filter_node_parts.append(f_nodes)
+            filter_key_parts.append(f_keys)
 
-        def materialise(node: int) -> Path:
-            reversed_items: list[int] = []
-            while node >= 0:
-                reversed_items.append(int(all_node_items[node]))
-                node = int(all_node_parents[node])
-            reversed_items.reverse()
-            return tuple(reversed_items)
+        filter_vec = np.concatenate(filter_vec_parts)
+        # Records accumulate level-major but grouped by vector within each
+        # level; a stable sort by vector therefore recovers each vector's
+        # serial generation order.
+        order = np.argsort(filter_vec, kind="stable")
+        filter_nodes = np.concatenate(filter_node_parts)[order]
+        vector_offsets = np.zeros(num_vectors + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(np.bincount(filter_vec, minlength=num_vectors), out=vector_offsets[1:])
 
-        if finished_vec_parts:
-            finished_vec = np.concatenate(finished_vec_parts)
-            finished_nodes = np.concatenate(finished_node_parts)
-            finished_keys = np.concatenate(finished_key_parts)
-        else:
-            finished_vec = np.zeros(0, dtype=np.int64)
-            finished_nodes = np.zeros(0, dtype=np.int64)
-            finished_keys = np.zeros(0, dtype=np.uint64)
-        # Finished records accumulate level-major but grouped by vector
-        # within each level; a stable sort by vector therefore recovers each
-        # vector's serial generation order.
-        finished_order = np.argsort(finished_vec, kind="stable")
-        finished_vec = finished_vec[finished_order]
-        finished_nodes = finished_nodes[finished_order]
-        finished_keys = finished_keys[finished_order]
-        vector_range = np.arange(num_vectors, dtype=np.int64)
-        finished_starts = np.searchsorted(finished_vec, vector_range, side="left")
-        finished_ends = np.searchsorted(finished_vec, vector_range, side="right")
-        frontier_starts = np.searchsorted(f_vec, vector_range, side="left")
-        frontier_ends = np.searchsorted(f_vec, vector_range, side="right")
+        # --- arena walk: fill every path back to front, one pass per depth ---
+        # A node appended at level L ends a path of L + 1 items (every record
+        # is a real node: level 0 always runs, so no root survives to here).
+        level_ends = np.cumsum([chunk.size for chunk in arena_items], dtype=OFFSET_DTYPE)
+        path_offsets = np.zeros(filter_nodes.size + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(
+            np.searchsorted(level_ends, filter_nodes, side="right") + 1, out=path_offsets[1:]
+        )
+        path_items = np.empty(int(path_offsets[-1]), dtype=ITEM_DTYPE)
+        if path_items.size:
+            node_items = np.concatenate(arena_items)
+            node_parents = np.concatenate(arena_parents)
+            nodes = filter_nodes
+            cursor = path_offsets[1:] - 1
+            while nodes.size:
+                path_items[cursor] = node_items[nodes]
+                nodes = node_parents[nodes]
+                walking = nodes >= 0
+                nodes = nodes[walking]
+                cursor = cursor[walking] - 1
+        return FilterBatch(
+            path_items=path_items,
+            path_offsets=path_offsets,
+            keys=np.concatenate(filter_key_parts)[order],
+            vector_offsets=vector_offsets,
+            truncated=truncated,
+            expansions=expansions,
+        )
 
-        results: list[PathGenerationResult] = []
-        for vector in range(num_vectors):
-            span = slice(int(finished_starts[vector]), int(finished_ends[vector]))
-            paths = [materialise(node) for node in finished_nodes[span].tolist()]
-            keys = [int(key) for key in finished_keys[span].tolist()]
-            if self._collect_at_max_depth:
-                if vector in parked:
-                    tail_nodes, tail_keys = parked[vector]
-                else:
-                    tail = slice(int(frontier_starts[vector]), int(frontier_ends[vector]))
-                    tail_nodes = f_nodes[tail]
-                    tail_keys = f_keys[tail]
-                for node, key in zip(tail_nodes.tolist(), tail_keys.tolist()):
-                    paths.append(materialise(node))
-                    keys.append(int(key))
-            results.append(
-                PathGenerationResult(
-                    paths=paths,
-                    truncated=bool(truncated[vector]),
-                    expansions=int(expansions[vector]),
-                    keys=keys,
-                )
+    def _log_table(self) -> np.ndarray:
+        """``log(max(p_i, floor))`` for every item of the universe, built once.
+
+        ``math.log`` per element keeps the values bit-identical to the
+        serial generator's per-item ``math.log`` calls.
+        """
+        if self._log_probabilities is None:
+            clamped = np.maximum(self._probabilities, self._probability_floor)
+            self._log_probabilities = np.array(
+                [math.log(value) for value in clamped.tolist()], dtype=np.float64
             )
-        return results
+        return self._log_probabilities
 
-    def _generate_batch_small(
-        self,
-        items_per_vector: Sequence[Sequence[int]],
-        thresholds: Sequence[BoundThreshold],
-        counters: np.ndarray,
-    ) -> list[PathGenerationResult]:
+    def _generate_batch_small(self, vectors: VectorBatch, counters: np.ndarray) -> FilterBatch:
         """Tuple-frontier batch generation for very small batches.
 
         The CSR kernel pipeline pays a fixed number of array operations per
@@ -617,28 +715,26 @@ class PathGenerator:
         level's candidates in one flat call, and produces bit-identical
         results and counter totals: ``keys_folded`` counts every hashed
         candidate and ``paths_extended`` every chosen extension up to the
-        truncation cutoff, exactly like ``extend_level``.
+        truncation cutoff, exactly like ``extend_level``.  The tuples are
+        flattened into the same :class:`FilterBatch` at the end.
         """
         log_stop = (
             math.log(self._stop_product) if self._stop_product is not None else None
         )
         root_key = fold_path(())
         states: list[_SmallBatchState] = []
-        for members, bound in zip(items_per_vector, thresholds):
-            sorted_items = sorted(int(item) for item in members)
-            if sorted_items and (
-                sorted_items[0] < 0 or sorted_items[-1] >= self._probabilities.size
+        for start, end in zip(
+            vectors.item_offsets[:-1].tolist(), vectors.item_offsets[1:].tolist()
+        ):
+            item_array = vectors.items[start:end]
+            # Sorted ascending, so the ends bound the whole vector.
+            if end > start and (
+                item_array[0] < 0 or item_array[-1] >= self._probabilities.size
             ):
                 raise ValueError("vector contains an item outside the universe")
-            if sorted_items:
-                item_array = np.asarray(sorted_items, dtype=np.int64)
-                clamped = np.maximum(
-                    self._probabilities[item_array], self._probability_floor
-                )
-                log_probs = [math.log(value) for value in clamped.tolist()]
-            else:
-                log_probs = []
-            states.append(_SmallBatchState(sorted_items, log_probs, bound, root_key))
+            clamped = np.maximum(self._probabilities[item_array], self._probability_floor)
+            log_probs = [math.log(value) for value in clamped.tolist()]
+            states.append(_SmallBatchState(item_array, log_probs, start, root_key))
 
         for level in range(self._max_depth):
             # -- collection: flatten every candidate extension of the level --
@@ -646,34 +742,34 @@ class PathGenerator:
             key_parts: list[np.ndarray] = []
             item_parts: list[np.ndarray] = []
             probability_parts: list[np.ndarray] = []
+            level_probs: np.ndarray | None = None
             for state in states:
                 if not state.active or not state.frontier:
                     continue
                 entries: list = []
-                flat_items: list[int] = []
+                flat_positions: list[int] = []
                 entry_keys: list[int] = []
                 entry_counts: list[int] = []
-                items = state.items
                 for entry in state.frontier:
                     positions = entry[3]
                     if not positions:
                         continue
                     entries.append((entry, positions))
-                    flat_items.extend(items[position] for position in positions)
+                    flat_positions.extend(positions)
                     entry_keys.append(entry[1])
                     entry_counts.append(len(positions))
                 if not entries:
                     state.frontier = []
                     continue
-                item_array = np.asarray(flat_items, dtype=np.int64)
-                probability_parts.append(
-                    state.bound.sampling_probabilities(level, item_array)
-                )
-                item_parts.append(item_array)
+                if level_probs is None:
+                    level_probs = vectors.bounds.item_probabilities(level)
+                position_array = np.asarray(flat_positions, dtype=OFFSET_DTYPE)
+                probability_parts.append(level_probs[state.base + position_array])
+                item_parts.append(state.item_array[position_array])
                 key_parts.append(
-                    np.repeat(np.asarray(entry_keys, dtype=np.uint64), entry_counts)
+                    np.repeat(np.asarray(entry_keys, dtype=KEY_DTYPE), entry_counts)
                 )
-                work.append((state, entries, len(flat_items)))
+                work.append((state, entries, len(flat_positions)))
             if not work:
                 break
 
@@ -740,4 +836,4 @@ class PathGenerator:
                     keys=state.finished_keys,
                 )
             )
-        return results
+        return FilterBatch.from_results(results)

@@ -37,12 +37,50 @@ class BoundThreshold(abc.ABC):
         """Sampling probability for appending each of ``items`` at depth ``level``."""
 
 
+class BatchBoundThreshold(abc.ABC):
+    """A threshold policy specialised to a whole batch of vectors at once.
+
+    The batch is described by its vectors' items concatenated in CSR form;
+    one :meth:`item_probabilities` call per recursion level replaces a
+    Python-level ``sampling_probabilities`` call per vector, with the same
+    elementwise float arithmetic (results are bit-identical to binding each
+    vector on its own).  The probabilities depend on the level only, so they
+    are computed once per level and shared by every repetition that
+    generates from the same batch.
+    """
+
+    def __init__(self) -> None:
+        self._by_level: dict[int, np.ndarray] = {}
+
+    def item_probabilities(self, level: int) -> np.ndarray:
+        """Sampling probability at depth ``level``, parallel to the bound items.
+
+        The returned array is shared between calls; treat it as read-only.
+        """
+        probabilities = self._by_level.get(level)
+        if probabilities is None:
+            probabilities = self._by_level[level] = self._item_probabilities(level)
+            probabilities.flags.writeable = False
+        return probabilities
+
+    @abc.abstractmethod
+    def _item_probabilities(self, level: int) -> np.ndarray:
+        """Compute :meth:`item_probabilities` for one level."""
+
+
 class ThresholdPolicy(abc.ABC):
     """Factory of per-vector :class:`BoundThreshold` objects."""
 
     @abc.abstractmethod
     def bind(self, items: Sequence[int]) -> BoundThreshold:
         """Specialise the policy to the vector with the given set bits."""
+
+    @abc.abstractmethod
+    def bind_batch(self, items: np.ndarray, item_offsets: np.ndarray) -> BatchBoundThreshold:
+        """Specialise the policy to many vectors given as one CSR item array.
+
+        Vector ``k`` owns ``items[item_offsets[k]:item_offsets[k + 1]]``.
+        """
 
     def describe(self) -> str:
         """Human-readable one-line description (used in reports)."""
@@ -65,6 +103,22 @@ class _UniformBound(BoundThreshold):
         return np.full(len(items), probability, dtype=np.float64)
 
 
+class _UniformBatchBound(BatchBoundThreshold):
+    """:class:`_UniformBound` for a batch: one denominator base per vector."""
+
+    def __init__(self, b1: float, item_counts: np.ndarray, subtract_level: bool):
+        super().__init__()
+        self._item_counts = item_counts
+        self._denominator_bases = b1 * item_counts.astype(np.float64)
+        self._subtract_level = subtract_level
+
+    def _item_probabilities(self, level: int) -> np.ndarray:
+        denominators = self._denominator_bases - (level if self._subtract_level else 0.0)
+        # min(1, 1/d) for d > 0 and 1 for d <= 0, as one division: both
+        # branches equal 1 / max(d, 1) exactly.
+        return np.repeat(1.0 / np.maximum(denominators, 1.0), self._item_counts)
+
+
 class AdversarialThreshold(ThresholdPolicy):
     """The Theorem 2 policy ``s(x, j, i) = 1/(b1 |x| − j)``.
 
@@ -85,6 +139,11 @@ class AdversarialThreshold(ThresholdPolicy):
 
     def bind(self, items: Sequence[int]) -> BoundThreshold:
         return _UniformBound(self._b1 * len(items), subtract_level=True)
+
+    def bind_batch(self, items: np.ndarray, item_offsets: np.ndarray) -> BatchBoundThreshold:
+        return _UniformBatchBound(
+            self._b1, item_offsets[1:] - item_offsets[:-1], subtract_level=True
+        )
 
     def describe(self) -> str:
         return f"adversarial(b1={self._b1:g})"
@@ -110,6 +169,11 @@ class ConstantThreshold(ThresholdPolicy):
     def bind(self, items: Sequence[int]) -> BoundThreshold:
         return _UniformBound(self._b1 * len(items), subtract_level=False)
 
+    def bind_batch(self, items: np.ndarray, item_offsets: np.ndarray) -> BatchBoundThreshold:
+        return _UniformBatchBound(
+            self._b1, item_offsets[1:] - item_offsets[:-1], subtract_level=False
+        )
+
     def describe(self) -> str:
         return f"constant(b1={self._b1:g})"
 
@@ -126,11 +190,28 @@ class _CorrelatedBound(BoundThreshold):
         positions = np.fromiter(
             (self._item_position[int(item)] for item in items), dtype=np.int64, count=len(items)
         )
-        denominators = self._denominators[positions] - float(level)
-        probabilities = np.where(
-            denominators <= 0.0, 1.0, self._numerator / np.maximum(denominators, 1e-300)
-        )
-        return np.clip(probabilities, 0.0, 1.0)
+        return _correlated_probabilities(self._denominators[positions], self._numerator, level)
+
+
+def _correlated_probabilities(
+    denominators: np.ndarray, numerator: float, level: int
+) -> np.ndarray:
+    """``numerator / (denominators - level)`` clamped to ``[0, 1]``, elementwise."""
+    shifted = denominators - float(level)
+    probabilities = np.where(shifted <= 0.0, 1.0, numerator / np.maximum(shifted, 1e-300))
+    return np.clip(probabilities, 0.0, 1.0)
+
+
+class _CorrelatedBatchBound(BatchBoundThreshold):
+    """:class:`_CorrelatedBound` for a batch: denominators parallel to the items."""
+
+    def __init__(self, denominators: np.ndarray, numerator: float):
+        super().__init__()
+        self._denominators = denominators
+        self._numerator = numerator
+
+    def _item_probabilities(self, level: int) -> np.ndarray:
+        return _correlated_probabilities(self._denominators, self._numerator, level)
 
 
 class CorrelatedThreshold(ThresholdPolicy):
@@ -215,6 +296,12 @@ class CorrelatedThreshold(ThresholdPolicy):
         ) if item_list else np.empty(0, dtype=np.float64)
         item_position = {item: position for position, item in enumerate(item_list)}
         return _CorrelatedBound(denominators, 1.0 + self._boost_delta, item_position)
+
+    def bind_batch(self, items: np.ndarray, item_offsets: np.ndarray) -> BatchBoundThreshold:
+        if items.size and (int(items.min()) < 0 or int(items.max()) >= self._probabilities.size):
+            raise ValueError("vector contains an item outside the universe")
+        denominators = self._conditional[items] * self._expected_size
+        return _CorrelatedBatchBound(denominators, 1.0 + self._boost_delta)
 
     def describe(self) -> str:
         return (

@@ -241,23 +241,24 @@ class ShardRouter:
     def probe_batch_routed(
         self,
         repetition: int,
-        paths: Sequence[Path],
+        probe_items: np.ndarray,
+        probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Route, fan out, and merge one probe batch for one repetition.
 
-        Returns ``(ids, offsets, route)`` with the identical contract —
-        including the *shard-level* route array — as the single-process
-        :meth:`ShardedInvertedFilterIndex.probe_batch_routed`, so every
-        stats counter derived from the route (``shards_probed``) agrees
-        bit-for-bit across execution modes.
+        The probes arrive in CSR form (exactly what each worker sub-request
+        ships) and the result is ``(ids, offsets, route)`` with the identical
+        contract — including the *shard-level* route array — as the
+        single-process :meth:`ShardedInvertedFilterIndex.probe_batch_routed`,
+        so every stats counter derived from the route (``shards_probed``)
+        agrees bit-for-bit across execution modes.
         """
-        num_probes = len(paths)
+        num_probes = len(probe_offsets) - 1
         empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
             return empty, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
-        probe_items, probe_offsets = paths_to_csr(paths)
         probe_starts = probe_offsets[:-1]
         probe_lengths = np.diff(probe_offsets)
         route = route_keys(self._fences, keys_arr)
@@ -432,19 +433,25 @@ class RouterBackedFilterIndex:
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_batch_routed` without the per-probe shard routes."""
-        ids, offsets, _route = self.probe_batch_routed(paths, keys, shard_workers)
+        """:meth:`probe_batch_routed` for tuple paths, without the routes."""
+        probe_items, probe_offsets = paths_to_csr(paths)
+        ids, offsets, _route = self.probe_batch_routed(
+            probe_items, probe_offsets, keys, shard_workers
+        )
         return ids, offsets
 
     def probe_batch_routed(
         self,
-        paths: Sequence[Path],
+        probe_items: np.ndarray,
+        probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
         shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve many probes across the shard workers; CSR slices + route."""
+        """Resolve many CSR probes across the shard workers; slices + route."""
         del shard_workers  # process-level fan-out is the router's own knob
-        return self._router.probe_batch_routed(self._repetition, paths, keys)
+        return self._router.probe_batch_routed(
+            self._repetition, probe_items, probe_offsets, keys
+        )
 
     def lookup(self, path: Path) -> list[int]:
         """Vector ids that chose ``path`` (empty list if none)."""

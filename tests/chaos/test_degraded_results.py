@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.paths import paths_to_csr
 from repro.dist import shard_router_of
 from repro.dist.breaker import STATE_OPEN
 from repro.dist.transport import ShardUnavailableError
@@ -36,10 +37,15 @@ def test_degraded_probes_are_full_probes_restricted_to_live_shards(
     degraded = shard_router_of(routed_loader("drop:worker=0"))
     paths, keys = _probe_plan(chaos_mmap, chaos_index.queries[:8])
 
-    full_ids, full_offsets, route = healthy.probe_batch_routed(0, paths, keys)
+    probe_items, probe_offsets = paths_to_csr(paths)
+    full_ids, full_offsets, route = healthy.probe_batch_routed(
+        0, probe_items, probe_offsets, keys
+    )
     degraded.set_request_scope(allow_partial=True)
     try:
-        ids, offsets, degraded_route = degraded.probe_batch_routed(0, paths, keys)
+        ids, offsets, degraded_route = degraded.probe_batch_routed(
+            0, probe_items, probe_offsets, keys
+        )
     finally:
         degraded.clear_request_scope()
 

@@ -170,7 +170,7 @@ class TestChunkProbeDedupe:
         distinct filters share a forced 64-bit key must not see each other's
         postings (regression test for a key-only dedupe)."""
         from repro.core.inverted_index import InvertedFilterIndex
-        from repro.core.paths import PathGenerationResult
+        from repro.core.paths import FilterBatch, PathGenerationResult
 
         probabilities, dataset = small_dataset
         engine = make_engine(probabilities, len(dataset))
@@ -178,11 +178,13 @@ class TestChunkProbeDedupe:
         inverted = InvertedFilterIndex()
         inverted.add(0, [(1, 2)], keys=[777])
         inverted.compact()
-        generations = [
-            PathGenerationResult(paths=[(1, 2)], truncated=False, expansions=1, keys=[777]),
-            PathGenerationResult(paths=[(3, 4)], truncated=False, expansions=1, keys=[777]),
-        ]
-        probe = engine._probe_chunk_repetition(inverted, generations)
+        filters = FilterBatch.from_results(
+            [
+                PathGenerationResult(paths=[(1, 2)], truncated=False, expansions=1, keys=[777]),
+                PathGenerationResult(paths=[(3, 4)], truncated=False, expansions=1, keys=[777]),
+            ]
+        )
+        probe = engine._probe_chunk_repetition(inverted, filters)
         assert probe is not None
         occurrence_ids, query_offsets, distinct, duplicate, _shards, _query_shards = probe
         first = occurrence_ids[query_offsets[0] : query_offsets[1]].tolist()
@@ -191,6 +193,65 @@ class TestChunkProbeDedupe:
         assert second == []  # colliding key, different path: no foreign postings
         assert distinct == 2
         assert duplicate == 0
+
+
+    @pytest.mark.parametrize("mode", ["ram", "mmap", "inproc"])
+    def test_key_dedupe_splits_colliding_paths_on_every_store(self, mode, tmp_path):
+        """The chunk dedupe groups probes by 64-bit key; distinct paths forced
+        onto one key inside a chunk must still be probed separately and never
+        share postings — in RAM, over mmap shards and through the router."""
+        from repro import SkewAdaptiveIndex, load_index, save_index
+        from repro.core.config import PersistenceConfig, SkewAdaptiveIndexConfig
+        from repro.core.inverted_index import InvertedFilterIndex
+        from repro.core.paths import FilterBatch, PathGenerationResult
+        from repro.data.distributions import ItemDistribution
+        from repro.dist import load_routed_index, shard_router_of
+        from repro.hashing.pairwise import fold_path
+
+        index = SkewAdaptiveIndex(
+            ItemDistribution(np.full(12, 0.2)),
+            config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=1, seed=0),
+        )
+        index.build([frozenset({1, 2}), frozenset({3, 4}), frozenset({5})])
+        crafted = InvertedFilterIndex()
+        crafted.add(0, [(1, 2)], keys=[777])
+        crafted.add(1, [(3, 4)], keys=[777])
+        crafted.add(2, [(5,)])
+        index._engine._indexes[0] = crafted
+        router = None
+        if mode != "ram":
+            save_index(index, tmp_path / "idx", config=PersistenceConfig(shards=2))
+            if mode == "mmap":
+                index = load_index(tmp_path / "idx", mode="mmap")
+            else:
+                index = load_routed_index(tmp_path / "idx", transport="inproc", shard_procs=2)
+                router = shard_router_of(index)
+        engine = index._engine
+
+        def generation(paths, keys):
+            return PathGenerationResult(paths=paths, truncated=False, expansions=1, keys=keys)
+
+        filters = FilterBatch.from_results(
+            [
+                generation([(1, 2), (5,)], [777, fold_path((5,))]),
+                generation([(3, 4), (1, 2)], [777, 777]),
+                generation([(9, 9)], [777]),
+            ]
+        )
+        try:
+            probe = engine._probe_chunk_repetition(engine.filter_indexes[0], filters)
+        finally:
+            if router is not None:
+                router.close()
+        assert probe is not None
+        occurrence_ids, query_offsets, distinct, duplicate, _shards, query_shards = probe
+        streams = [
+            occurrence_ids[query_offsets[k] : query_offsets[k + 1]].tolist() for k in range(3)
+        ]
+        assert streams == [[0, 2], [1, 0], []]
+        assert (distinct, duplicate) == (4, 1)
+        expected_shards = [1, 1, 1] if mode == "ram" else [2, 1, 1]
+        assert query_shards.tolist() == expected_shards
 
 
 class TestQueryFiltersAndCandidates:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.inverted_index import STATE_ARRAY_NAMES, InvertedFilterIndex
+from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path
 
 
@@ -283,6 +284,61 @@ class TestBulkCompaction:
             assert incremental.lookup(path) == fresh.lookup(path)
         assert incremental.num_filters == fresh.num_filters
         assert incremental.total_entries == fresh.total_entries
+
+    @pytest.mark.parametrize("forced_key", [None, 777])
+    def test_array_then_tuple_ingestion_equals_all_tuple(self, forced_key):
+        """Bulk ``add_csr`` chunks followed by tuple ``add()`` inserts and a
+        re-compaction give exactly the arrays all-tuple ingestion gives —
+        with natural keys and with every posting forced onto one key (the
+        chained-collision compaction)."""
+        bulk = [
+            (vector_id, [(vector_id % 3, 5), (7,), (vector_id % 2, 1, 9)])
+            for vector_id in range(12)
+        ]
+        inserts = [(12, [(0, 5), (4, 4)]), (13, [(7,), (1, 1, 9), (6,)])]
+
+        def keys_of(paths):
+            return [fold_path(path) if forced_key is None else forced_key for path in paths]
+
+        tuples_only = InvertedFilterIndex()
+        for vector_id, paths in bulk:
+            tuples_only.add(vector_id, paths, keys=keys_of(paths))
+        tuples_only.compact()
+        for vector_id, paths in inserts:
+            tuples_only.add(vector_id, paths, keys=keys_of(paths))
+
+        mixed = InvertedFilterIndex()
+        for chunk in (bulk[:5], bulk[5:]):
+            flat = [path for _vector_id, paths in chunk for path in paths]
+            assert mixed.add_csr(
+                np.repeat([vector_id for vector_id, _ in chunk], [len(p) for _, p in chunk]),
+                np.asarray(keys_of(flat), dtype=np.uint64),
+                *paths_to_csr(flat),
+            ) == len(flat)
+        mixed.compact()
+        for vector_id, paths in inserts:
+            mixed.add(vector_id, paths, keys=keys_of(paths))
+
+        expected_state, expected_keys = tuples_only.to_sorted_state()
+        state, keys = mixed.to_sorted_state()
+        assert np.array_equal(keys, expected_keys)
+        for name in STATE_ARRAY_NAMES:
+            assert state[name].dtype == expected_state[name].dtype
+            assert np.array_equal(state[name], expected_state[name]), name
+        assert mixed.total_entries == tuples_only.total_entries
+        assert mixed.kernel_counters.tolist() == tuples_only.kernel_counters.tolist()
+
+    def test_add_csr_rejects_mismatched_arrays(self):
+        index = InvertedFilterIndex()
+        items, offsets = paths_to_csr([(1, 2), (3,)])
+        keys = np.asarray([5, 6], dtype=np.uint64)
+        with pytest.raises(ValueError, match="one of each per posting"):
+            index.add_csr(np.asarray([0]), keys, items, offsets)
+        with pytest.raises(ValueError, match="do not describe"):
+            index.add_csr(np.asarray([0, 1]), keys, items[:-1], offsets)
+        with pytest.raises(ValueError, match="non-negative"):
+            index.add_csr(np.asarray([0, -1]), keys, items, offsets)
+        assert index.total_entries == 0
 
     def test_from_state_accepts_unsorted_slot_order(self):
         """Files written before the CSR-native probe pipeline store slots in

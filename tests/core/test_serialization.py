@@ -9,6 +9,7 @@ format-specific behaviour.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import zipfile
 
@@ -33,6 +34,7 @@ from repro.core.serialization import (
     save_index,
 )
 from repro.core.skewed_index import SkewAdaptiveIndex
+from repro.data.distributions import ItemDistribution
 
 #: Explicit v2 configuration for the single-file container tests.
 V2 = PersistenceConfig(format_version=2)
@@ -453,6 +455,41 @@ class TestV3Format:
         assert len(manifest["shard_files"]) == 8
         for name in manifest["shard_files"]:
             assert (path / name).is_file()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """A build + inserts saves byte-for-byte what the tuple-based filter
+        flow saved (digests taken at commit 2912fb4, before generation,
+        ingestion and probing went array-native).  The dataset comes from a
+        plain LCG so no RNG or seed-base setting can move it."""
+        state = 20240915
+        dataset = []
+        for _ in range(700):
+            members = set()
+            for item in range(90):
+                state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+                if (state >> 11) / (1 << 53) < (0.3 if item < 10 else 0.06):
+                    members.add(item)
+            dataset.append(frozenset(members))
+        index = SkewAdaptiveIndex(
+            ItemDistribution(np.asarray([0.3] * 10 + [0.06] * 80)),
+            config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=5, seed=9),
+        )
+        index.build(dataset[:600])
+        for members in dataset[600:]:
+            index.insert(members)
+        path = tmp_path / "index.v3"
+        save_index(index, path, config=PersistenceConfig(shards=4))
+        digests = {
+            file.name: hashlib.sha256(file.read_bytes()).hexdigest()[:16]
+            for file in sorted(path.glob("*.bin"))
+        }
+        assert digests == {
+            "shard_0000.bin": "b99a5d1cbc8c3e45",
+            "shard_0001.bin": "1aa409941bc19860",
+            "shard_0002.bin": "41d29e4e2159405c",
+            "shard_0003.bin": "912552399f1da9a1",
+            "store.bin": "d6b46e1f14b7a099",
+        }
 
     def test_shard_count_is_configurable(self, adversarial_index, tmp_path):
         path = tmp_path / "index.v3"

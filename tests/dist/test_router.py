@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.mmap_store import MmapReadOnlyError
+from repro.core.paths import paths_to_csr
 from repro.core.stats import BatchQueryStats, ShardFanoutStats
 from repro.dist import shard_router_of, shard_to_worker_map, worker_shard_ranges
 
@@ -128,7 +129,7 @@ def test_take_fanout_stats_drains_pending_delta(inproc_index):
     # themselves, so a probe issued outside a batch must be what take() sees.
     paths = [(1, 2, 3), (4, 5)]
     keys = [hash(path) & (2**63 - 1) for path in paths]
-    router.probe_batch_routed(0, paths, keys)
+    router.probe_batch_routed(0, *paths_to_csr(paths), keys)
 
     taken = router.take_fanout_stats()
     assert taken.total_requests > 0

@@ -8,12 +8,20 @@ path must return exactly what the single-query loop returns, at every layer
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dtypes import ITEM_DTYPE, KEY_DTYPE, OFFSET_DTYPE
 from repro.core.engine import FilterEngine
-from repro.core.paths import PathGenerator, default_max_depth
-from repro.core.thresholds import AdversarialThreshold
+from repro.core.kernels import (
+    KERNELS_ENV_VAR,
+    PATHS_EXTENDED,
+    available_backends,
+    new_counters,
+)
+from repro.core.paths import PathGenerator, VectorBatch, default_max_depth
+from repro.core.thresholds import AdversarialThreshold, ConstantThreshold, CorrelatedThreshold
 from repro.hashing.pairwise import PathHasher
 
 DIMENSION = 48
@@ -23,31 +31,91 @@ item_sets = st.frozensets(
 )
 # Spans both generate_batch paths: <= 8 vectors ride the tuple-frontier
 # fast path, larger batches take the CSR kernel pipeline (see paths.py).
-set_lists = st.lists(item_sets, min_size=1, max_size=12)
+set_lists = st.lists(item_sets, min_size=1, max_size=20)
 probability_arrays = st.lists(
     st.floats(min_value=0.01, max_value=0.5), min_size=DIMENSION, max_size=DIMENSION
 ).map(lambda values: np.asarray(values))
 
 
-@given(probability_arrays, set_lists, st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_generate_batch_equals_generate(probabilities, vectors, seed):
+generation_variants = st.fixed_dictionaries(
+    {
+        "policy": st.sampled_from(["adversarial", "constant", "correlated"]),
+        "stop_rule": st.booleans(),
+        "collect_at_max_depth": st.booleans(),
+        "max_paths": st.sampled_from([None, 5, 200]),
+    }
+)
+
+
+@given(
+    probability_arrays,
+    set_lists,
+    st.integers(min_value=0, max_value=2**31),
+    generation_variants,
+)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_filter_batch_rows_equal_serial_generate(probabilities, vectors, seed, variant):
+    """Every row of the array-native ``FilterBatch`` is the serial result.
+
+    Paths, their order, keys, ``truncated`` and ``expansions`` per vector,
+    across the stop rule, ``max_paths`` truncation, the Chosen Path
+    collection of the final frontier, empty vectors, uniform and correlated
+    thresholds, both sides of the small-batch cutoff and every installed
+    kernel backend.
+    """
+    policy = {
+        "adversarial": AdversarialThreshold(0.5),
+        "constant": ConstantThreshold(0.5),
+        "correlated": CorrelatedThreshold(probabilities, alpha=0.6, num_vectors=64),
+    }[variant["policy"]]
     generator = PathGenerator(
         probabilities,
         PathHasher(seed),
-        stop_product=1.0 / 64.0,
-        max_depth=default_max_depth(64, float(probabilities.max())),
-        max_paths=200,
+        stop_product=1.0 / 64.0 if variant["stop_rule"] else None,
+        # Without the stop rule only the depth cap ends recursion; keep the
+        # serial reference affordable.
+        max_depth=default_max_depth(64, float(probabilities.max())) if variant["stop_rule"] else 3,
+        collect_at_max_depth=variant["collect_at_max_depth"],
+        max_paths=variant["max_paths"],
     )
-    policy = AdversarialThreshold(0.5)
-    sorted_vectors = [sorted(vector) for vector in vectors]
-    bounds = [policy.bind(members) for members in sorted_vectors]
-    batch = generator.generate_batch(sorted_vectors, bounds)
-    for members, bound, batched in zip(sorted_vectors, bounds, batch):
-        single = generator.generate(members, bound)
-        assert single.paths == batched.paths
-        assert single.truncated == batched.truncated
-        assert single.expansions == batched.expansions
+    serial_counters = new_counters()
+    serial = [
+        generator.generate(sorted(members), policy.bind(sorted(members)), serial_counters)
+        for members in vectors
+    ]
+
+    for backend in available_backends():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(KERNELS_ENV_VAR, backend)
+            counters = new_counters()
+            batch = generator.generate_batch(VectorBatch.bind(vectors, policy), counters)
+            one_by_one = new_counters()
+            singles = [
+                generator.generate_batch(VectorBatch.bind([members], policy), one_by_one)
+                for members in vectors
+            ]
+
+        assert list(batch) == serial
+        assert [single[0] for single in singles] == serial
+        # The arrays themselves, not only the tuple view of them.
+        assert (batch.path_items.dtype, batch.keys.dtype) == (ITEM_DTYPE, KEY_DTYPE)
+        assert batch.path_offsets.dtype == batch.vector_offsets.dtype == OFFSET_DTYPE
+        assert batch.vector_offsets.tolist() == np.cumsum(
+            [0] + [len(result.paths) for result in serial]
+        ).tolist()
+        assert batch.path_items.tolist() == [
+            item for result in serial for path in result.paths for item in path
+        ]
+        assert batch.keys.tolist() == [key for result in serial for key in result.keys]
+        assert batch.truncated.tolist() == [result.truncated for result in serial]
+        assert batch.expansions.tolist() == [result.expansions for result in serial]
+        # Counter totals: both batch paths agree always; the serial loop
+        # stops hashing a truncated vector's level at the cutoff entry, so
+        # it folds fewer keys there but extends exactly the same paths.
+        assert counters.tolist() == one_by_one.tolist()
+        assert counters[PATHS_EXTENDED] == serial_counters[PATHS_EXTENDED]
+        if not batch.truncated.any():
+            assert counters.tolist() == serial_counters.tolist()
 
 
 @given(

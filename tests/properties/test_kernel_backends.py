@@ -36,7 +36,7 @@ from repro.core.kernels._contract import (
     MERGE_ROWS,
     PATHS_EXTENDED,
 )
-from repro.core.paths import PathGenerator, default_max_depth
+from repro.core.paths import PathGenerator, VectorBatch, default_max_depth
 from repro.core.skewed_index import SkewAdaptiveIndex
 from repro.core.thresholds import AdversarialThreshold
 from repro.hashing.pairwise import PathHasher
@@ -157,14 +157,18 @@ def test_small_and_large_batches_agree(backend, skewed_distribution, skewed_data
     bounds = [policy.bind(members) for members in vectors]
 
     large_counters = new_counters()
-    large = generator.generate_batch(vectors, bounds, counters=large_counters)
+    large = generator.generate_batch(
+        VectorBatch.bind(vectors, policy), counters=large_counters
+    )
     assert len(vectors) > _SMALL_BATCH_MAX  # the batch above took the kernel path
 
     small_counters = new_counters()
     small = []
-    for members, bound in zip(vectors, bounds):
+    for members in vectors:
         small.extend(
-            generator.generate_batch([members], [bound], counters=small_counters)
+            generator.generate_batch(
+                VectorBatch.bind([members], policy), counters=small_counters
+            )
         )
 
     for one, many in zip(small, large):
