@@ -60,7 +60,9 @@ def _reference_candidates(index, query) -> set[int]:
     members = sorted(query_set)
     for repetition in range(engine.repetitions):
         bound = engine._threshold_policy.bind(members)  # noqa: SLF001
-        generation = engine._generators[repetition].generate(members, bound)  # noqa: SLF001
+        generation = engine._generator.generate(  # noqa: SLF001
+            members, bound, repetition=repetition
+        )
         for candidate_id in engine._indexes[repetition].candidates(  # noqa: SLF001
             generation.paths, generation.keys
         ):

@@ -114,7 +114,7 @@ def _reference_generate_batch(
     loop replaying the serial order.
     """
     probabilities = generator._probabilities
-    hasher = generator._hasher
+    (hasher,) = generator._hashers
     max_paths = generator._max_paths
     log_stop = (
         math.log(generator._stop_product) if generator._stop_product is not None else None
@@ -335,7 +335,7 @@ def _build_workload(distribution):
         distribution, config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=1, seed=1)
     )
     engine = index._create_engine(num_vectors)
-    generator = engine._generators[0]
+    generator = engine._generator  # one repetition: a pass is that repetition's
     generator.ensure_hash_levels()
     policy = engine._threshold_policy
     bounds = [policy.bind(vector) for vector in members]

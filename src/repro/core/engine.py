@@ -86,6 +86,18 @@ class DeadlineExceededError(TimeoutError):
 #: "Open items") rather than at once.
 _BUILD_GENERATION_BATCH = 24
 
+#: Rows — (repetition, query) pairs — one fused generation pass is sized for:
+#: the read surfaces generate ``max(1, _WAVE_VIRTUAL_VECTORS // live
+#: queries)`` repetitions per pass.  A level-synchronous pass costs a fixed
+#: number of array operations per level whatever it carries, so few queries
+#: gain most from sharing one.  Generating all 14 repetitions of a chunk,
+#: fused against one repetition per pass (n = 5000, numpy kernels): 7.3x
+#: for 1 query, 4.7x for 8, 2.7x for 18; at this constant's widths 2.2x for
+#: 32 queries (8 per pass), 1.4x for 64 (4), 1.1x for 128 (2); for 256
+#: queries every width above 1 loses (0.7-0.97x).  Wider waves than that
+#: buy little and make ``mode="first"`` generate more filters it never probes.
+_WAVE_VIRTUAL_VECTORS = 256
+
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 
@@ -153,6 +165,69 @@ def _first_filter_with_same_path(filters: FilterBatch) -> np.ndarray | None:
             path = tuple(path_items[path_offsets[probe] : path_offsets[probe + 1]].tolist())
             representative[probe] = first_with_path.setdefault((key_group, path), probe)
     return representative
+
+
+class _FilterWaves:
+    """Each repetition's query filters in turn, generated in fused waves.
+
+    The read surfaces probe repetitions strictly in order (``mode="first"``
+    decides its early exits between them), but filters need not be
+    *generated* one repetition at a time: a wave generates the next
+    ``max(1, _WAVE_VIRTUAL_VECTORS // live queries)`` repetitions of the
+    live queries in one pass, and :meth:`filters` hands them out one
+    repetition at a time, restricted to the queries still live by then.
+    The width depends only on the input — how many queries are live and how
+    many repetitions remain — and never changes what a repetition's filters
+    are, only when they are computed; the kernel counters do count a wave's
+    unused tail.
+    """
+
+    def __init__(
+        self,
+        generator: PathGenerator,
+        policy: ThresholdPolicy,
+        queries: Sequence[frozenset[int]],
+        counters: np.ndarray,
+    ):
+        self._generator = generator
+        self._policy = policy
+        self._queries = queries
+        self._counters = counters
+        self._vectors: VectorBatch | None = None
+        self._wave: FilterBatch | None = None
+        self._wave_start = 0
+        #: Positions in ``queries`` the current wave was generated for.
+        self._wave_queries = np.empty(0, dtype=OFFSET_DTYPE)
+        #: Wall time spent binding, generating and subsetting.
+        self.seconds = 0.0
+
+    def filters(self, repetition: int, live: Sequence[int]) -> FilterBatch:
+        """``repetition``'s filters of ``queries[k] for k in live``.
+
+        ``live`` is ascending and only ever shrinks from one call to the
+        next; repetitions are asked for in order.
+        """
+        start = time.perf_counter()
+        wave = self._wave
+        if wave is None or repetition >= self._wave_start + wave.repetitions:
+            if self._vectors is None or len(live) != self._wave_queries.size:
+                self._vectors = VectorBatch.bind(
+                    [self._queries[position] for position in live], self._policy
+                )
+            width = min(
+                self._generator.repetitions - repetition,
+                max(1, _WAVE_VIRTUAL_VECTORS // len(live)),
+            )
+            wave = self._wave = self._generator.generate_batch(
+                self._vectors, self._counters, range(repetition, repetition + width)
+            )
+            self._wave_start = repetition
+            self._wave_queries = np.asarray(live, dtype=OFFSET_DTYPE)
+        filters = wave.repetition(repetition - self._wave_start)
+        if len(live) != self._wave_queries.size:
+            filters = filters.take(np.searchsorted(self._wave_queries, live))
+        self.seconds += time.perf_counter() - start
+        return filters
 
 
 class FilterEngine:
@@ -241,17 +316,20 @@ class FilterEngine:
         # a dist dependency — the engine only drains its fan-out stats.
         self._shard_router: Any | None = None
 
-        self._generators: list[PathGenerator] = [
-            PathGenerator(
-                self._probabilities,
-                PathHasher(derive_seed(self._seed, "repetition", repetition)),
-                stop_product=self._stop_product,
-                max_depth=self._max_depth,
-                collect_at_max_depth=self._collect_at_max_depth,
-                max_paths=self._max_paths_per_vector,
-            )
-            for repetition in range(self._repetitions)
-        ]
+        # One generator owns every repetition's hash functions, so a pass
+        # can cover several repetitions and the per-engine tables (clamped
+        # log-probabilities, per-level coefficients) exist once.
+        self._generator = PathGenerator(
+            self._probabilities,
+            [
+                PathHasher(derive_seed(self._seed, "repetition", repetition))
+                for repetition in range(self._repetitions)
+            ],
+            stop_product=self._stop_product,
+            max_depth=self._max_depth,
+            collect_at_max_depth=self._collect_at_max_depth,
+            max_paths=self._max_paths_per_vector,
+        )
         self._indexes: list[InvertedFilterIndex] = [
             InvertedFilterIndex() for _ in range(self._repetitions)
         ]
@@ -444,8 +522,8 @@ class FilterEngine:
                 [self._vectors[vector_id] for vector_id in vector_ids.tolist()],
                 self._threshold_policy,
             )
-            for generator, index in zip(self._generators, self._indexes):
-                filters = generator.generate_batch(vectors, counters=counters)
+            for repetition, index in enumerate(self._indexes):
+                filters = self._generator.generate_batch(vectors, counters, (repetition,))
                 index.add_csr(
                     np.repeat(vector_ids, filters.filter_counts),
                     filters.keys,
@@ -489,8 +567,8 @@ class FilterEngine:
         counters = new_counters()
         members = sorted(vector)
         bound = self._threshold_policy.bind(members)
-        for generator, index in zip(self._generators, self._indexes):
-            result = generator.generate(members, bound, counters=counters)
+        for repetition, index in enumerate(self._indexes):
+            result = self._generator.generate(members, bound, counters, repetition)
             index.add(vector_id, result.paths, keys=result.keys)
             self._build_stats.total_filters += len(result.paths)
             if result.truncated:
@@ -540,7 +618,7 @@ class FilterEngine:
         if not members:
             return []
         bound = self._threshold_policy.bind(members)
-        return self._generators[repetition].generate(members, bound).paths
+        return self._generator.generate(members, bound, repetition=repetition).paths
 
     def query(
         self,
@@ -588,7 +666,6 @@ class FilterEngine:
         — RAM-mode and mmap-mode execution therefore report identical work
         (only ``shards_probed`` reflects the storage layout).
         """
-        vectors = VectorBatch.bind([query_set], self._threshold_policy)
         evaluated = np.zeros(len(self._vectors), dtype=bool)
         removed = self._removed_lookup()
         membership = np.zeros(self._probabilities.size, dtype=bool)
@@ -596,12 +673,14 @@ class FilterEngine:
         best_similarity = -1.0
         impl = get_impl()
         counters = new_counters()
+        # A lone query generates every repetition in one pass, whose fixed
+        # per-level cost is the same for one row as for one per repetition.
+        # ``filters_generated`` still counts only the repetitions the query
+        # gets to; the kernel counters count the whole pass.
+        waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
 
         for repetition in range(self._repetitions):
-            # Even for one query the level-synchronous generator wins: it
-            # hashes a whole frontier level per call instead of one call per
-            # frontier entry, and produces bit-identical paths.
-            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
+            filters = waves.filters(repetition, (0,))
             stats.filters_generated += filters.num_filters
             stats.repetitions_used += 1
             inverted = self._indexes[repetition]
@@ -680,12 +759,12 @@ class FilterEngine:
         """CSR-native candidate enumeration: one probe gather per repetition,
         then a single sort/unique merge with a vectorised tombstone mask.
         Returns the sorted array of distinct live candidate ids."""
-        vectors = VectorBatch.bind([query_set], self._threshold_policy)
         parts: list[np.ndarray] = []
         impl = get_impl()
         counters = new_counters()
+        waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
         for repetition in range(self._repetitions):
-            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
+            filters = waves.filters(repetition, (0,))
             stats.filters_generated += filters.num_filters
             stats.repetitions_used += 1
             inverted = self._indexes[repetition]
@@ -925,8 +1004,7 @@ class FilterEngine:
                 # Pre-instantiate lazily-created shared state (hash levels,
                 # the candidate store, compacted postings, the tombstone
                 # mask) so worker threads only ever read it.
-                for generator in self._generators:
-                    generator.ensure_hash_levels()
+                self._generator.ensure_hash_levels()
                 for inverted in self._indexes:
                     inverted.compact()
                 self._ensure_candidate_store()
@@ -1099,26 +1177,18 @@ class FilterEngine:
         active = [index for index, query_set in enumerate(chunk) if query_set]
         if not active:
             return results, chunk_stats
-        vectors: VectorBatch | None = None
         evaluated: dict[int, np.ndarray] = {index: _EMPTY_IDS for index in active}
         best: dict[int, tuple[int | None, float]] = {index: (None, -1.0) for index in active}
         membership = np.zeros(self._probabilities.size, dtype=bool)
         removed = self._removed_lookup()
         impl = get_impl()
         counters = new_counters()
+        waves = _FilterWaves(self._generator, self._threshold_policy, chunk, counters)
 
         for repetition in range(self._repetitions):
             if not active:
                 break
-            generation_start = time.perf_counter()
-            if vectors is None or len(vectors) != len(active):
-                # Queries only ever leave the active set, so a changed size
-                # is the only way the prepared chunk can be stale.
-                vectors = VectorBatch.bind(
-                    [chunk[index] for index in active], self._threshold_policy
-                )
-            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
-            chunk_stats.generation_seconds += time.perf_counter() - generation_start
+            filters = waves.filters(repetition, active)
             inverted = self._indexes[repetition]
             for index, count in zip(active, filters.filter_counts.tolist()):
                 query_stats = chunk_stats.per_query[index]
@@ -1185,6 +1255,7 @@ class FilterEngine:
                 if best_id is not None:
                     results[index] = best_id
                     chunk_stats.per_query[index].found = True
+        chunk_stats.generation_seconds = waves.seconds
         chunk_stats.kernel.add_counters(counters)
         return results, chunk_stats
 
@@ -1207,18 +1278,14 @@ class FilterEngine:
         active = [index for index, query_set in enumerate(chunk) if query_set]
         if not active:
             return results, chunk_stats
-        generation_start = time.perf_counter()
-        vectors = VectorBatch.bind([chunk[index] for index in active], self._threshold_policy)
-        chunk_stats.generation_seconds += time.perf_counter() - generation_start
         id_parts: list[np.ndarray] = []
         label_parts: list[np.ndarray] = []
         impl = get_impl()
         counters = new_counters()
+        waves = _FilterWaves(self._generator, self._threshold_policy, chunk, counters)
 
         for repetition in range(self._repetitions):
-            generation_start = time.perf_counter()
-            filters = self._generators[repetition].generate_batch(vectors, counters=counters)
-            chunk_stats.generation_seconds += time.perf_counter() - generation_start
+            filters = waves.filters(repetition, active)
             inverted = self._indexes[repetition]
             for index, count in zip(active, filters.filter_counts.tolist()):
                 query_stats = chunk_stats.per_query[index]
@@ -1265,6 +1332,7 @@ class FilterEngine:
                     results[index] = segment
                     chunk_stats.per_query[index].unique_candidates = int(segment.size)
         chunk_stats.merge_seconds += time.perf_counter() - merge_start
+        chunk_stats.generation_seconds = waves.seconds
         chunk_stats.kernel.add_counters(counters)
         return results, chunk_stats
 

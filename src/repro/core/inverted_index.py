@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.dtypes import ID_DTYPE, ITEM_DTYPE, KEY_DTYPE, OFFSET_DTYPE
 from repro.core.kernels import get_impl, new_counters
-from repro.core.paths import paths_to_csr
+from repro.core.paths import _segment_gather, paths_to_csr
 from repro.hashing.pairwise import fold_path, fold_paths_csr
 
 Path = tuple[int, ...]
@@ -56,22 +56,6 @@ STATE_ARRAY_NAMES = (
     "posting_ids",
     "posting_offsets",
 )
-
-
-def _segment_gather(
-    source: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Concatenate ``source[starts[k] : starts[k] + lengths[k]]`` for all k.
-
-    The workhorse of the CSR pipeline: one fancy-indexing pass replaces a
-    Python loop over variable-length segments.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=source.dtype)
-    out_starts = np.cumsum(lengths) - lengths
-    indices = np.arange(total, dtype=np.int64) + np.repeat(starts - out_starts, lengths)
-    return source[indices]
 
 
 def _segments_differ(

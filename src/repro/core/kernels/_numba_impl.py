@@ -87,6 +87,7 @@ def _extend_level_jit(
     cand_item_logs,
     entry_offsets,
     entry_vector,
+    entry_repetition,
     num_vectors,
     vec_finished,
     log_stop,
@@ -104,11 +105,6 @@ def _extend_level_jit(
     expansions = np.zeros(num_vectors, dtype=np.int64)
     truncated = np.zeros(num_vectors, dtype=np.bool_)
 
-    a_u = np.uint64(a)
-    a_hi = a_u >> _U64_32
-    a_lo = a_u & _U64_LOW32
-    b_u = np.uint64(b)
-
     extended = 0
     entry = 0
     while entry < num_entries:
@@ -118,6 +114,11 @@ def _extend_level_jit(
         while entry < num_entries and entry_vector[entry] == vector:
             if not vec_truncated:
                 expansions[vector] += 1
+                # ``a``/``b`` are uint64 tables: the entry's repetition row.
+                a_u = a[entry_repetition[entry]]
+                a_hi = a_u >> _U64_32
+                a_lo = a_u & _U64_LOW32
+                b_u = b[entry_repetition[entry]]
                 for index in range(entry_offsets[entry], entry_offsets[entry + 1]):
                     key = _extend_key(cand_prefix_keys[index], cand_items[index])
                     new_keys[index] = key

@@ -31,13 +31,14 @@ def extend_level(
     cand_item_logs: np.ndarray,
     entry_offsets: np.ndarray,
     entry_vector: np.ndarray,
+    entry_repetition: np.ndarray,
     num_vectors: int,
     vec_finished: np.ndarray,
     log_stop: float,
     use_stop: bool,
     max_paths: int,
-    a: int,
-    b: int,
+    a: np.ndarray,
+    b: np.ndarray,
     counters: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Extend one recursion level of a batched path frontier.
@@ -48,8 +49,14 @@ def extend_level(
     its vector and must be non-decreasing (entries grouped by vector).  Every
     entry has at least one candidate.
 
+    A "vector" is whatever the caller generates filters for independently: a
+    pass fused over several repetitions presents every (repetition, vector)
+    pair as a vector of its own.  ``a`` and ``b`` are ``uint64[R]`` tables of
+    the level's multiply-add coefficients, one row per repetition of the
+    pass, and ``entry_repetition[e]`` is the row entry ``e`` hashes with.
+
     For each candidate the kernel folds the extended path key, hashes it with
-    the level's multiply-add coefficients ``(a, b)`` and compares against the
+    its entry's coefficients ``(a[r], b[r])`` and compares against the
     sampling probability.  Chosen extensions get ``status`` 2 (finished: the
     stopping rule ``log_product <= log_stop`` fired, only when ``use_stop``)
     or 1 (frontier child); dropped candidates get 0.  ``max_paths >= 0``
@@ -71,7 +78,12 @@ def extend_level(
     cand_vec = entry_vector[cand_entry]
 
     new_keys = extend_keys(cand_prefix_keys, cand_items)
-    hash_values = hash_keys(new_keys, a, b)
+    if a.size == 1:
+        # One repetition: scalar coefficients broadcast, no per-candidate gather.
+        hash_values = hash_keys(new_keys, a[0], b[0])
+    else:
+        cand_repetition = entry_repetition[cand_entry]
+        hash_values = hash_keys(new_keys, a[cand_repetition], b[cand_repetition])
     chosen = hash_values < cand_probs
     new_logs = cand_parent_logs + cand_item_logs
 

@@ -611,7 +611,9 @@ class LazyVectorStore(SequenceABC):
             raise IndexError(f"vector id {index} is out of range for {length} vectors")
         start = int(self._offsets[index])
         end = int(self._offsets[index + 1])
-        return frozenset(int(item) for item in self._items[start:end])
+        # One bulk conversion: iterating a memmap slice element by element
+        # pays a Python-level ``memmap.__getitem__`` per item.
+        return frozenset(self._items[start:end].tolist())
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         for index in range(len(self)):

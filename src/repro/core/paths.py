@@ -19,7 +19,7 @@ vector doing the extending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
@@ -39,9 +39,9 @@ def paths_to_csr(paths: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
 
     Path ``k`` occupies ``items[offsets[k]:offsets[k + 1]]``.  This is the
     bridge from tuples of ints to the array-native filter flow, for the
-    places that still start from tuples: the serial generator's results,
-    the small-batch tuple frontier, and the tuple convenience entry points
-    of the stores (``add``, ``probe_batch``).
+    places that still start from tuples: the serial generator's results and
+    the tuple convenience entry points of the stores (``add``,
+    ``probe_batch``).
     """
     offsets = _running_offsets(map(len, paths), len(paths))
     items = np.fromiter(chain.from_iterable(paths), dtype=ITEM_DTYPE, count=int(offsets[-1]))
@@ -53,57 +53,20 @@ def _running_offsets(lengths: Iterable[int], count: int) -> np.ndarray:
     return np.fromiter(accumulate(lengths, initial=0), dtype=OFFSET_DTYPE, count=count + 1)
 
 
-#: Batches of at most this many vectors take the tuple-frontier path in
-#: :meth:`PathGenerator.generate_batch` instead of the CSR kernel pipeline.
-#: The pipeline's fixed per-level array-operation cost dominates tiny
-#: frontiers (the single-query surfaces generate one vector per repetition),
-#: while both paths produce bit-identical results and counter totals.
-_SMALL_BATCH_MAX = 8
+def _segment_gather(
+    source: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Concatenate ``source[starts[k] : starts[k] + lengths[k]]`` for all k.
 
-
-class _SmallBatchState:
-    """Per-vector bookkeeping of the small-batch tuple-frontier path.
-
-    Frontier entries are ``(path, prefix_key, log_product, positions)``
-    tuples, where ``positions`` lists the vector's (sorted) item positions
-    still available for extension — a child inherits its parent's list minus
-    the item just consumed.  ``base`` is the vector's offset into the
-    batch's concatenated item array (and so into the per-level probabilities).
+    The workhorse of the CSR pipeline: one fancy-indexing pass replaces a
+    Python loop over variable-length segments.
     """
-
-    __slots__ = (
-        "items",
-        "item_array",
-        "log_probs",
-        "base",
-        "frontier",
-        "finished_paths",
-        "finished_keys",
-        "truncated",
-        "expansions",
-        "active",
-    )
-
-    def __init__(
-        self,
-        item_array: np.ndarray,
-        log_probs: list[float],
-        base: int,
-        root_key: int,
-    ):
-        items: list[int] = item_array.tolist()
-        self.items = items
-        self.item_array = item_array
-        self.log_probs = log_probs
-        self.base = base
-        self.frontier: list[tuple[Path, int, float, list[int]]] = (
-            [((), root_key, 0.0, list(range(len(items))))] if items else []
-        )
-        self.finished_paths: list[Path] = []
-        self.finished_keys: list[int] = []
-        self.truncated = False
-        self.expansions = 0
-        self.active = bool(items)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=source.dtype)
+    out_starts = np.cumsum(lengths) - lengths
+    indices = np.arange(total, dtype=np.int64) + np.repeat(starts - out_starts, lengths)
+    return source[indices]
 
 
 def default_max_depth(num_vectors: int, max_probability: float) -> int:
@@ -154,8 +117,8 @@ class VectorBatch:
     each vector's items sorted ascending in one CSR array, the chunk's
     batch-bound thresholds (which memoise their per-level probabilities),
     and the root frontier of the kernel pipeline.  Callers :meth:`bind` a
-    chunk once and pass it to :meth:`PathGenerator.generate_batch` per
-    repetition.
+    chunk once and pass it to :meth:`PathGenerator.generate_batch`, for one
+    repetition or for several at a time.
     """
 
     items: np.ndarray
@@ -183,8 +146,7 @@ class VectorBatch:
 
         ``masks[r]`` holds the bitmask words of vector ``vectors[r]`` with
         one bit set per item position (bit ``p`` = position ``p``,
-        little-endian).  Only the kernel pipeline reads it; small batches
-        never pay for it.
+        little-endian).
         """
         sizes = np.diff(self.item_offsets)
         non_empty = np.flatnonzero(sizes)
@@ -206,6 +168,11 @@ class FilterBatch:
     vector.  This is what the stores ingest and probe directly; indexing the
     batch (``batch[k]``) materialises one vector's filters as the tuple-based
     :class:`PathGenerationResult`, which only tests and diagnostics need.
+
+    A pass fused over ``repetitions`` repetitions of ``V`` vectors lays its
+    rows out repetition-major: row ``r * V + v`` holds vector ``v``'s filters
+    under the pass's ``r``-th repetition, and :meth:`repetition` hands out
+    one repetition's ``V`` rows as a batch of its own.
     """
 
     path_items: np.ndarray
@@ -214,10 +181,11 @@ class FilterBatch:
     vector_offsets: np.ndarray
     truncated: np.ndarray
     expansions: np.ndarray
+    repetitions: int = 1
 
     @classmethod
     def from_results(cls, results: Sequence[PathGenerationResult]) -> "FilterBatch":
-        """Flatten per-vector tuple results (the small-batch path's output)."""
+        """Flatten per-vector tuple results (the serial generator's output)."""
         path_items, path_offsets = paths_to_csr(
             [path for result in results for path in result.paths]
         )
@@ -238,8 +206,61 @@ class FilterBatch:
             ),
         )
 
+    def repetition(self, index: int) -> "FilterBatch":
+        """The rows of the pass's ``index``-th repetition, as array views.
+
+        Slices only — the two offset arrays are re-based to start at 0, so
+        the result is an ordinary single-repetition batch.
+        """
+        if not 0 <= index < self.repetitions:
+            raise IndexError(
+                f"repetition {index} is out of range for a pass over {self.repetitions}"
+            )
+        if self.repetitions == 1:
+            return self
+        size = len(self) // self.repetitions
+        rows = slice(index * size, (index + 1) * size)
+        vector_offsets = self.vector_offsets[index * size : (index + 1) * size + 1]
+        first_filter, last_filter = int(vector_offsets[0]), int(vector_offsets[-1])
+        path_offsets = self.path_offsets[first_filter : last_filter + 1]
+        first_item = int(path_offsets[0])
+        return FilterBatch(
+            path_items=self.path_items[first_item : int(path_offsets[-1])],
+            path_offsets=path_offsets - first_item,
+            keys=self.keys[first_filter:last_filter],
+            vector_offsets=vector_offsets - first_filter,
+            truncated=self.truncated[rows],
+            expansions=self.expansions[rows],
+        )
+
+    def take(self, rows: np.ndarray) -> "FilterBatch":
+        """The batch restricted to ``rows`` (indices, kept in the given order).
+
+        A row's filters and their items are each one contiguous run of the
+        flat arrays, so the subset is three segment gathers.
+        """
+        filter_starts = self.vector_offsets[rows]
+        counts = self.vector_offsets[rows + 1] - filter_starts
+        item_starts = self.path_offsets[filter_starts]
+        item_counts = self.path_offsets[filter_starts + counts] - item_starts
+        filters = _segment_gather(
+            np.arange(self.num_filters, dtype=OFFSET_DTYPE), filter_starts, counts
+        )
+        path_offsets = np.zeros(filters.size + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(self.path_offsets[filters + 1] - self.path_offsets[filters], out=path_offsets[1:])
+        vector_offsets = np.zeros(rows.size + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(counts, out=vector_offsets[1:])
+        return FilterBatch(
+            path_items=_segment_gather(self.path_items, item_starts, item_counts),
+            path_offsets=path_offsets,
+            keys=self.keys[filters],
+            vector_offsets=vector_offsets,
+            truncated=self.truncated[rows],
+            expansions=self.expansions[rows],
+        )
+
     def __len__(self) -> int:
-        """Number of vectors in the batch."""
+        """Number of rows: vectors, times repetitions for a fused pass."""
         return self.vector_offsets.size - 1
 
     @property
@@ -281,7 +302,8 @@ class PathGenerator:
     probabilities:
         Item-level probabilities ``p_i`` used by the stopping rule.
     hasher:
-        The shared per-level path hasher.  Indexes and queries must use the
+        The shared per-level path hasher — or one per repetition, when the
+        generator serves a whole engine.  Indexes and queries must use the
         *same* hasher instance (or one built from the same seed) for filters
         to collide.
     stop_product:
@@ -308,7 +330,7 @@ class PathGenerator:
     def __init__(
         self,
         probabilities: np.ndarray | Sequence[float],
-        hasher: PathHasher,
+        hasher: PathHasher | Sequence[PathHasher],
         stop_product: float | None,
         max_depth: int,
         collect_at_max_depth: bool = False,
@@ -324,13 +346,22 @@ class PathGenerator:
             raise ValueError(f"max_depth must be positive, got {max_depth}")
         if max_paths is not None and max_paths <= 0:
             raise ValueError(f"max_paths must be positive, got {max_paths}")
-        self._hasher = hasher
+        self._hashers = (hasher,) if isinstance(hasher, PathHasher) else tuple(hasher)
+        if not self._hashers:
+            raise ValueError("need at least one path hasher")
         self._stop_product = stop_product
         self._max_depth = int(max_depth)
         self._collect_at_max_depth = bool(collect_at_max_depth)
         self._max_paths = max_paths
         self._probability_floor = float(probability_floor)
         self._log_probabilities: np.ndarray | None = None
+        #: Per level, the ``(a, b)`` coefficient columns over all repetitions.
+        self._coefficients: list[tuple[np.ndarray, np.ndarray]] = []
+
+    @property
+    def repetitions(self) -> int:
+        """Number of repetitions (independent hashers) this generator owns."""
+        return len(self._hashers)
 
     @property
     def max_depth(self) -> int:
@@ -343,12 +374,12 @@ class PathGenerator:
     def ensure_hash_levels(self) -> None:
         """Pre-instantiate every hash level this generator can reach.
 
-        The per-level hash functions (and the log-probability table of the
-        batched path) are created lazily; calling this before fanning
-        generation out over worker threads guarantees the shared state is
-        only ever read concurrently.
+        The per-level hash functions, their coefficient table and the
+        log-probability table of the batched path are created lazily; calling
+        this before fanning generation out over worker threads guarantees the
+        shared state is only ever read concurrently.
         """
-        self._hasher.ensure_levels(self._max_depth)
+        self._level_coefficients(self._max_depth - 1)
         self._log_table()
 
     def generate(
@@ -356,6 +387,7 @@ class PathGenerator:
         items: Sequence[int],
         threshold: BoundThreshold,
         counters: np.ndarray | None = None,
+        repetition: int = 0,
     ) -> PathGenerationResult:
         """Generate the filters of the vector whose set bits are ``items``.
 
@@ -374,6 +406,8 @@ class PathGenerator:
             Optional kernel counter vector (:func:`repro.core.kernels.
             new_counters`); when given, ``keys_folded`` and
             ``paths_extended`` are accumulated into it.
+        repetition:
+            Which of the generator's hashers to generate with.
 
         Returns
         -------
@@ -382,6 +416,7 @@ class PathGenerator:
             ``max_paths`` cap, and the number of node expansions performed
             (a proxy for construction work, Lemma 6).
         """
+        hasher = self._hashers[repetition]
         sorted_items = sorted(int(item) for item in items)
         if not sorted_items:
             return PathGenerationResult(paths=[], truncated=False, expansions=0, keys=[])
@@ -421,7 +456,7 @@ class PathGenerator:
                 candidate_positions = np.flatnonzero(available)
                 candidate_items = item_array[candidate_positions]
                 probabilities = threshold.sampling_probabilities(level, candidate_items)
-                hash_values = self._hasher.extension_values_from_key(
+                hash_values = hasher.extension_values_from_key(
                     path_key, candidate_items, level
                 )
                 chosen = hash_values < probabilities
@@ -471,48 +506,76 @@ class PathGenerator:
         )
 
     def generate_batch(
-        self, vectors: VectorBatch, counters: np.ndarray | None = None
+        self,
+        vectors: VectorBatch,
+        counters: np.ndarray | None = None,
+        repetitions: Sequence[int] | None = None,
     ) -> FilterBatch:
         """Generate the filters of many vectors in one level-synchronous pass.
 
-        Semantically equivalent to calling :meth:`generate` per vector —
-        every vector's paths come back in the same order, with the same
-        truncation behaviour — but the whole batch frontier is carried as
-        flat CSR arrays (extended keys, available-item bitmask words, log
-        products) and each level is extended by a single ``extend_level``
-        kernel call (:func:`repro.core.kernels.get_impl`).  Chosen
-        extensions land in a parent-pointer arena from which the finished
-        paths are written straight into the returned :class:`FilterBatch`
-        arrays, one vectorised pass per path position; no per-filter Python
-        object is created.
+        Semantically equivalent to calling :meth:`generate` per vector and
+        repetition — every vector's paths come back in the same order, with
+        the same truncation behaviour — but the whole batch frontier is
+        carried as flat CSR arrays (extended keys, available-item bitmask
+        words, log products) and each level is extended by a single
+        ``extend_level`` kernel call (:func:`repro.core.kernels.get_impl`).
+        Chosen extensions land in a parent-pointer arena from which the
+        finished paths are written straight into the returned
+        :class:`FilterBatch` arrays, one vectorised pass per path position;
+        no per-filter Python object is created.
+
+        ``repetitions`` (default: all the generator owns, in order) are
+        generated *in the same pass*: every (repetition, vector) pair is a
+        row of its own — the frontier treats it as one more vector, which
+        hashes with its repetition's coefficients — so the pass's fixed
+        per-level cost is paid once, not once per repetition.  The result is
+        repetition-major (see :class:`FilterBatch`).
 
         ``vectors`` is repetition-independent, so callers prepare it once per
-        chunk and hand it to every repetition's generator.  ``counters``
-        (optional, from :func:`repro.core.kernels.new_counters`) accumulates
-        the kernel's per-stage work counts.
+        chunk.  ``counters`` (optional, from :func:`repro.core.kernels.
+        new_counters`) accumulates the kernel's per-stage work counts.
         """
-        num_vectors = len(vectors)
+        repetition_ids = (
+            tuple(range(len(self._hashers))) if repetitions is None else tuple(repetitions)
+        )
+        if not repetition_ids:
+            raise ValueError("need at least one repetition to generate")
+        if min(repetition_ids) < 0 or max(repetition_ids) >= len(self._hashers):
+            raise IndexError(
+                f"repetitions {list(repetition_ids)} are out of range for a "
+                f"generator of {len(self._hashers)}"
+            )
+        num_repetitions = len(repetition_ids)
+        coefficient_rows = np.asarray(repetition_ids, dtype=OFFSET_DTYPE)
+        num_vectors = len(vectors) * num_repetitions
         if num_vectors == 0:
-            return FilterBatch.from_results([])
+            return replace(FilterBatch.from_results([]), repetitions=num_repetitions)
         if counters is None:
             counters = new_counters()
-        if num_vectors <= _SMALL_BATCH_MAX:
-            return self._generate_batch_small(vectors, counters)
         impl = get_impl()
         items_concat = vectors.items
-        item_offsets = vectors.item_offsets
         if items_concat.size and (
             int(items_concat.min()) < 0 or int(items_concat.max()) >= self._probabilities.size
         ):
             raise ValueError("vector contains an item outside the universe")
         logs_concat = self._log_table()[items_concat]
+        # Per row (repetition-major): where its vector's items start, and
+        # which of the pass's repetitions it belongs to.
+        row_item_starts = np.tile(vectors.item_offsets[:-1], num_repetitions)
+        row_repetition = np.repeat(
+            np.arange(num_repetitions, dtype=OFFSET_DTYPE), len(vectors)
+        )
 
-        # --- root frontier: one entry per non-empty vector ---------------
-        # Frontier entry fields, index-parallel and grouped by vector
-        # ascending: owning vector, extended path key, log product, arena
+        # --- root frontier: one entry per non-empty row ------------------
+        # Frontier entry fields, index-parallel and grouped by row
+        # ascending: owning row, extended path key, log product, arena
         # node of the last item (-1 for the root), and the available-item
         # bitmask (bit p set = vector item position p still usable).
-        f_vec, f_masks = vectors.root_frontier
+        root_vectors, root_masks = vectors.root_frontier
+        f_vec = (
+            np.arange(num_repetitions, dtype=OFFSET_DTYPE)[:, None] * len(vectors) + root_vectors
+        ).ravel()
+        f_masks = np.tile(root_masks, (num_repetitions, 1))
         f_keys = np.full(f_vec.size, np.uint64(EMPTY_PATH_KEY), dtype=KEY_DTYPE)
         f_logs = np.zeros(f_vec.size, dtype=np.float64)
         f_nodes = np.full(f_vec.size, -1, dtype=OFFSET_DTYPE)
@@ -563,7 +626,7 @@ class PathGenerator:
             np.cumsum(counts[used_entries], out=entry_offsets[1:])
 
             cand_vec = f_vec[entry_index]
-            gather = item_offsets[cand_vec] + position
+            gather = row_item_starts[cand_vec] + position
             cand_items = items_concat[gather]
 
             # Thresholds are elementwise-pure, so evaluating every vector's
@@ -571,7 +634,7 @@ class PathGenerator:
             # bit-identical to per-entry evaluation.
             level_probs = vectors.bounds.item_probabilities(level)
 
-            coeff_a, coeff_b = self._hasher.level_coefficients(level)
+            coeff_a, coeff_b = self._level_coefficients(level)
             new_keys, status, new_logs, level_expansions, level_truncated = impl.extend_level(
                 f_keys[entry_index],
                 cand_items,
@@ -580,13 +643,14 @@ class PathGenerator:
                 logs_concat[gather],
                 entry_offsets,
                 entry_vector,
+                row_repetition[entry_vector],
                 num_vectors,
                 finished_counts,
                 log_stop,
                 use_stop,
                 max_paths,
-                coeff_a,
-                coeff_b,
+                coeff_a[coefficient_rows],
+                coeff_b[coefficient_rows],
                 counters,
             )
             expansions += level_expansions
@@ -689,7 +753,21 @@ class PathGenerator:
             vector_offsets=vector_offsets,
             truncated=truncated,
             expansions=expansions,
+            repetitions=num_repetitions,
         )
+
+    def _level_coefficients(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(a, b)`` multiply-add coefficients of ``level`` as two
+        ``uint64[repetitions]`` columns, built once per level."""
+        while len(self._coefficients) <= level:
+            pairs = np.array(
+                [hasher.level_coefficients(len(self._coefficients)) for hasher in self._hashers],
+                dtype=KEY_DTYPE,
+            )
+            self._coefficients.append(
+                (np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1]))
+            )
+        return self._coefficients[level]
 
     def _log_table(self) -> np.ndarray:
         """``log(max(p_i, floor))`` for every item of the universe, built once.
@@ -703,137 +781,3 @@ class PathGenerator:
                 [math.log(value) for value in clamped.tolist()], dtype=np.float64
             )
         return self._log_probabilities
-
-    def _generate_batch_small(self, vectors: VectorBatch, counters: np.ndarray) -> FilterBatch:
-        """Tuple-frontier batch generation for very small batches.
-
-        The CSR kernel pipeline pays a fixed number of array operations per
-        level, which dominates when the whole frontier is a handful of
-        entries — the single-query surfaces call ``generate_batch`` with one
-        vector per repetition.  Below ``_SMALL_BATCH_MAX`` vectors this path
-        carries the frontier as Python tuples instead, still hashing each
-        level's candidates in one flat call, and produces bit-identical
-        results and counter totals: ``keys_folded`` counts every hashed
-        candidate and ``paths_extended`` every chosen extension up to the
-        truncation cutoff, exactly like ``extend_level``.  The tuples are
-        flattened into the same :class:`FilterBatch` at the end.
-        """
-        log_stop = (
-            math.log(self._stop_product) if self._stop_product is not None else None
-        )
-        root_key = fold_path(())
-        states: list[_SmallBatchState] = []
-        for start, end in zip(
-            vectors.item_offsets[:-1].tolist(), vectors.item_offsets[1:].tolist()
-        ):
-            item_array = vectors.items[start:end]
-            # Sorted ascending, so the ends bound the whole vector.
-            if end > start and (
-                item_array[0] < 0 or item_array[-1] >= self._probabilities.size
-            ):
-                raise ValueError("vector contains an item outside the universe")
-            clamped = np.maximum(self._probabilities[item_array], self._probability_floor)
-            log_probs = [math.log(value) for value in clamped.tolist()]
-            states.append(_SmallBatchState(item_array, log_probs, start, root_key))
-
-        for level in range(self._max_depth):
-            # -- collection: flatten every candidate extension of the level --
-            work: list[tuple[_SmallBatchState, list, int]] = []
-            key_parts: list[np.ndarray] = []
-            item_parts: list[np.ndarray] = []
-            probability_parts: list[np.ndarray] = []
-            level_probs: np.ndarray | None = None
-            for state in states:
-                if not state.active or not state.frontier:
-                    continue
-                entries: list = []
-                flat_positions: list[int] = []
-                entry_keys: list[int] = []
-                entry_counts: list[int] = []
-                for entry in state.frontier:
-                    positions = entry[3]
-                    if not positions:
-                        continue
-                    entries.append((entry, positions))
-                    flat_positions.extend(positions)
-                    entry_keys.append(entry[1])
-                    entry_counts.append(len(positions))
-                if not entries:
-                    state.frontier = []
-                    continue
-                if level_probs is None:
-                    level_probs = vectors.bounds.item_probabilities(level)
-                position_array = np.asarray(flat_positions, dtype=OFFSET_DTYPE)
-                probability_parts.append(level_probs[state.base + position_array])
-                item_parts.append(state.item_array[position_array])
-                key_parts.append(
-                    np.repeat(np.asarray(entry_keys, dtype=KEY_DTYPE), entry_counts)
-                )
-                work.append((state, entries, len(flat_positions)))
-            if not work:
-                break
-
-            extended_keys, hash_values = self._hasher.extension_pairs_flat(
-                np.concatenate(key_parts), np.concatenate(item_parts), level
-            )
-            chosen_flat = hash_values < np.concatenate(probability_parts)
-            counters[KEYS_FOLDED] += int(chosen_flat.size)
-
-            # -- materialisation: replay the serial order per vector --------
-            query_start = 0
-            for state, entries, total_candidates in work:
-                offset = query_start
-                query_start += total_candidates
-                next_frontier: list[tuple[Path, int, float, list[int]]] = []
-                for entry, positions in entries:
-                    if state.truncated:
-                        break
-                    path, _key, log_product, _positions = entry
-                    state.expansions += 1
-                    for local_index, position in enumerate(positions):
-                        if not chosen_flat[offset + local_index]:
-                            continue
-                        counters[PATHS_EXTENDED] += 1
-                        new_path = path + (state.items[position],)
-                        new_log_product = log_product + state.log_probs[position]
-                        if log_stop is not None and new_log_product <= log_stop:
-                            state.finished_paths.append(new_path)
-                            state.finished_keys.append(
-                                int(extended_keys[offset + local_index])
-                            )
-                        else:
-                            next_frontier.append(
-                                (
-                                    new_path,
-                                    int(extended_keys[offset + local_index]),
-                                    new_log_product,
-                                    [other for other in positions if other != position],
-                                )
-                            )
-                        if (
-                            self._max_paths is not None
-                            and len(state.finished_paths) + len(next_frontier)
-                            >= self._max_paths
-                        ):
-                            state.truncated = True
-                            break
-                    offset += len(positions)
-                state.frontier = next_frontier
-                if state.truncated:
-                    state.active = False
-
-        results: list[PathGenerationResult] = []
-        for state in states:
-            if self._collect_at_max_depth:
-                for path, key, _log, _positions in state.frontier:
-                    state.finished_paths.append(path)
-                    state.finished_keys.append(key)
-            results.append(
-                PathGenerationResult(
-                    paths=state.finished_paths,
-                    truncated=state.truncated,
-                    expansions=state.expansions,
-                    keys=state.finished_keys,
-                )
-            )
-        return FilterBatch.from_results(results)

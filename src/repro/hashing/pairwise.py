@@ -140,22 +140,26 @@ def extend_keys(prefix_keys: np.ndarray, items: np.ndarray) -> np.ndarray:
     return splitmix64_array(prefix_keys ^ item_keys)
 
 
-def hash_keys(keys: np.ndarray, a: int, b: int) -> np.ndarray:
+def hash_keys(keys: np.ndarray, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
     """Multiply-add-prime hash of a uint64 key array with coefficients ``(a, b)``.
 
     Computes ``((a * (x mod p) + b) mod p) / p`` with ``p = 2^61 - 1``,
     carried out entirely in uint64 arithmetic by splitting both operands into
     32-bit halves and folding the partial products with ``2^61 ≡ 1 (mod p)``
     (``2^64 ≡ 8`` and ``2^32 · m ≡ (m >> 29) + ((m & (2^29−1)) << 32)``), so
-    no intermediate ever exceeds 64 bits.  Bit-identical to
-    :meth:`PairwiseHash.hash_int` elementwise; the compiled kernels mirror
-    this exact arithmetic scalar-for-scalar.
+    no intermediate ever exceeds 64 bits.  ``a`` and ``b`` are one coefficient
+    pair for the whole array, or uint64 arrays giving every key its own pair
+    (a fused pass over several repetitions); the arithmetic per element is
+    the same either way.  Bit-identical to :meth:`PairwiseHash.hash_int`
+    elementwise; the compiled kernels mirror this exact arithmetic
+    scalar-for-scalar.
     """
     keys_u64 = np.ascontiguousarray(keys, dtype=np.uint64)
     reduced = _mod_mersenne(keys_u64)
 
-    a_hi = np.uint64(a >> 32)
-    a_lo = np.uint64(a & ((1 << 32) - 1))
+    a_u64 = np.asarray(a, dtype=np.uint64)
+    a_hi = a_u64 >> np.uint64(32)
+    a_lo = a_u64 & _LOW32_U64
     x_hi = reduced >> np.uint64(32)
     x_lo = reduced & _LOW32_U64
 
@@ -168,7 +172,7 @@ def hash_keys(keys: np.ndarray, a: int, b: int) -> np.ndarray:
     )
     low = _mod_mersenne(a_lo * x_lo)
 
-    total = _mod_mersenne(high + middle + low + np.uint64(b))
+    total = _mod_mersenne(high + middle + low + np.asarray(b, dtype=np.uint64))
     return total.astype(np.float64) / float(MERSENNE_PRIME)
 
 

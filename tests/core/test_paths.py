@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.paths import PathGenerator, default_max_depth
+from repro.core.paths import PathGenerator, VectorBatch, default_max_depth
 from repro.core.thresholds import AdversarialThreshold, ConstantThreshold
 from repro.hashing.pairwise import PathHasher
 
@@ -267,3 +267,58 @@ class TestExpectedFilterCount:
         # Allow a generous constant factor in both directions.
         assert mean_count < 40.0 * prediction
         assert mean_count > 0.01 * prediction
+
+
+class TestRepetitionOwnership:
+    """One generator owns every repetition's hasher and the shared tables."""
+
+    def make(self, repetitions=3):
+        probabilities = np.linspace(0.05, 0.4, 30)
+        return PathGenerator(
+            probabilities,
+            [PathHasher(seed) for seed in range(repetitions)],
+            stop_product=1.0 / 100,
+            max_depth=6,
+        )
+
+    def test_a_repetition_generates_like_its_own_single_hasher_generator(self):
+        generator = self.make()
+        items = list(range(0, 30, 2))
+        bound = AdversarialThreshold(0.5).bind(items)
+        for repetition in range(generator.repetitions):
+            alone = PathGenerator(
+                np.linspace(0.05, 0.4, 30), PathHasher(repetition), stop_product=0.01, max_depth=6
+            )
+            assert generator.generate(items, bound, repetition=repetition) == alone.generate(
+                items, bound
+            )
+
+    def test_needs_a_hasher_and_known_repetitions(self):
+        with pytest.raises(ValueError, match="hasher"):
+            PathGenerator(np.full(4, 0.2), [], stop_product=0.1, max_depth=3)
+        generator = self.make()
+        vectors = VectorBatch.bind([{1, 2, 3}], AdversarialThreshold(0.5))
+        with pytest.raises(ValueError, match="at least one repetition"):
+            generator.generate_batch(vectors, repetitions=[])
+        with pytest.raises(IndexError, match="out of range"):
+            generator.generate_batch(vectors, repetitions=[0, 3])
+
+    def test_ensure_hash_levels_leaves_nothing_to_build_lazily(self):
+        """Chunk threads share the generator, so after ``ensure_hash_levels``
+        a generation pass must find every table it reads already built."""
+        generator = self.make()
+        generator.ensure_hash_levels()
+        log_table = generator._log_probabilities
+        coefficients = list(generator._coefficients)
+        assert log_table is not None and len(coefficients) == generator.max_depth
+        for column_a, column_b in coefficients:
+            assert column_a.shape == column_b.shape == (generator.repetitions,)
+            assert column_a.dtype == column_b.dtype == np.uint64
+        vectors = VectorBatch.bind([set(range(12)), {3, 4}], AdversarialThreshold(0.5))
+        generator.generate_batch(vectors)
+        assert generator._log_probabilities is log_table
+        assert all(
+            now[0] is before[0] and now[1] is before[1]
+            for now, before in zip(generator._coefficients, coefficients)
+        )
+        assert len(generator._coefficients) == generator.max_depth

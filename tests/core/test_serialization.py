@@ -655,6 +655,21 @@ class TestMmapMode:
             skewed_dataset[0]
         )[0]
 
+    def test_mmap_vectors_equal_ram_vectors_and_hold_plain_ints(
+        self, adversarial_index, tmp_path
+    ):
+        """A vector materialised off the mapped store is the RAM one, and its
+        members are Python ``int``, not numpy scalars."""
+        path = tmp_path / "index.v3"
+        save_index(adversarial_index, path)
+        loaded = load_index(path, mode="mmap")
+        assert loaded.num_indexed == adversarial_index.num_indexed
+        for vector_id in range(adversarial_index.num_indexed):
+            mapped = loaded.get_vector(vector_id)
+            assert mapped == adversarial_index.get_vector(vector_id)
+            assert type(mapped) is frozenset
+            assert all(type(item) is int for item in mapped)
+
     def test_mmap_remove_overlays_correctly(
         self, adversarial_index, skewed_dataset, tmp_path
     ):

@@ -29,13 +29,20 @@ DIMENSION = 48
 item_sets = st.frozensets(
     st.integers(min_value=0, max_value=DIMENSION - 1), min_size=0, max_size=14
 )
-# Spans both generate_batch paths: <= 8 vectors ride the tuple-frontier
-# fast path, larger batches take the CSR kernel pipeline (see paths.py).
 set_lists = st.lists(item_sets, min_size=1, max_size=20)
 probability_arrays = st.lists(
     st.floats(min_value=0.01, max_value=0.5), min_size=DIMENSION, max_size=DIMENSION
 ).map(lambda values: np.asarray(values))
 
+#: Hashers of the generator under test; a fused pass covers any subset of
+#: them, in any order (one repetition is the unfused pass).
+REPETITIONS = 4
+repetition_subsets = st.lists(
+    st.integers(min_value=0, max_value=REPETITIONS - 1),
+    min_size=1,
+    max_size=REPETITIONS,
+    unique=True,
+)
 
 generation_variants = st.fixed_dictionaries(
     {
@@ -46,22 +53,33 @@ generation_variants = st.fixed_dictionaries(
     }
 )
 
+FILTER_ARRAYS = ("path_items", "path_offsets", "keys", "vector_offsets", "truncated", "expansions")
+
+
+def assert_same_arrays(left, right):
+    for name in FILTER_ARRAYS:
+        assert getattr(left, name).tolist() == getattr(right, name).tolist(), name
+
 
 @given(
     probability_arrays,
     set_lists,
     st.integers(min_value=0, max_value=2**31),
     generation_variants,
+    repetition_subsets,
 )
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_filter_batch_rows_equal_serial_generate(probabilities, vectors, seed, variant):
+def test_filter_batch_rows_equal_serial_generate(
+    probabilities, vectors, seed, variant, repetitions
+):
     """Every row of the array-native ``FilterBatch`` is the serial result.
 
-    Paths, their order, keys, ``truncated`` and ``expansions`` per vector,
-    across the stop rule, ``max_paths`` truncation, the Chosen Path
-    collection of the final frontier, empty vectors, uniform and correlated
-    thresholds, both sides of the small-batch cutoff and every installed
-    kernel backend.
+    Paths, their order, keys, ``truncated`` and ``expansions`` per
+    (repetition, vector) row of a pass fused over any repetition subset,
+    across the stop rule, ``max_paths`` truncation (the cutoff fires inside
+    the fused pass, per row), the Chosen Path collection of the final
+    frontier, empty vectors, uniform and correlated thresholds and every
+    installed kernel backend.
     """
     policy = {
         "adversarial": AdversarialThreshold(0.5),
@@ -70,7 +88,7 @@ def test_filter_batch_rows_equal_serial_generate(probabilities, vectors, seed, v
     }[variant["policy"]]
     generator = PathGenerator(
         probabilities,
-        PathHasher(seed),
+        [PathHasher(seed + repetition) for repetition in range(REPETITIONS)],
         stop_product=1.0 / 64.0 if variant["stop_rule"] else None,
         # Without the stop rule only the depth cap ends recursion; keep the
         # serial reference affordable.
@@ -80,18 +98,30 @@ def test_filter_batch_rows_equal_serial_generate(probabilities, vectors, seed, v
     )
     serial_counters = new_counters()
     serial = [
-        generator.generate(sorted(members), policy.bind(sorted(members)), serial_counters)
+        generator.generate(
+            sorted(members), policy.bind(sorted(members)), serial_counters, repetition
+        )
+        for repetition in repetitions
         for members in vectors
     ]
 
     for backend in available_backends():
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv(KERNELS_ENV_VAR, backend)
+            bound = VectorBatch.bind(vectors, policy)
             counters = new_counters()
-            batch = generator.generate_batch(VectorBatch.bind(vectors, policy), counters)
+            batch = generator.generate_batch(bound, counters, repetitions)
+            unfused_counters = new_counters()
+            unfused = [
+                generator.generate_batch(bound, unfused_counters, [repetition])
+                for repetition in repetitions
+            ]
             one_by_one = new_counters()
             singles = [
-                generator.generate_batch(VectorBatch.bind([members], policy), one_by_one)
+                generator.generate_batch(
+                    VectorBatch.bind([members], policy), one_by_one, [repetition]
+                )
+                for repetition in repetitions
                 for members in vectors
             ]
 
@@ -109,13 +139,55 @@ def test_filter_batch_rows_equal_serial_generate(probabilities, vectors, seed, v
         assert batch.keys.tolist() == [key for result in serial for key in result.keys]
         assert batch.truncated.tolist() == [result.truncated for result in serial]
         assert batch.expansions.tolist() == [result.expansions for result in serial]
-        # Counter totals: both batch paths agree always; the serial loop
+        # A repetition's view of the fused pass is that repetition's own
+        # pass, and a row subset of it is the pass over those vectors.
+        assert batch.repetitions == len(repetitions)
+        for position, alone in enumerate(unfused):
+            assert_same_arrays(batch.repetition(position), alone)
+        rows = np.arange(len(vectors) - 1, -1, -2)
+        kept = unfused[-1].take(rows)
+        assert list(kept) == [unfused[-1][row] for row in rows.tolist()]
+        assert kept.path_offsets.tolist() == np.cumsum(
+            [0] + [len(path) for result in kept for path in result.paths]
+        ).tolist()
+        # Counter totals: every batch shape agrees always; the serial loop
         # stops hashing a truncated vector's level at the cutoff entry, so
         # it folds fewer keys there but extends exactly the same paths.
-        assert counters.tolist() == one_by_one.tolist()
+        assert counters.tolist() == unfused_counters.tolist() == one_by_one.tolist()
         assert counters[PATHS_EXTENDED] == serial_counters[PATHS_EXTENDED]
         if not batch.truncated.any():
             assert counters.tolist() == serial_counters.tolist()
+
+
+def test_fused_pass_over_multi_word_masks_equals_serial_generate():
+    """Vectors of more than 64 items carry multi-word availability masks;
+    a fused pass tiles them per repetition and must still match the serial
+    generator, with and without the ``max_paths`` cutoff."""
+    rng = np.random.default_rng(5)
+    probabilities = rng.uniform(0.01, 0.4, size=200)
+    policy = AdversarialThreshold(0.5)
+    vectors = [
+        frozenset(rng.choice(200, size=size, replace=False).tolist())
+        for size in (70, 0, 129, 64, 65, 3)
+    ]
+    bound = VectorBatch.bind(vectors, policy)
+    assert bound.root_frontier[1].shape[1] == 3  # three 64-bit mask words
+    for max_paths in (None, 25):
+        generator = PathGenerator(
+            probabilities,
+            [PathHasher(seed) for seed in range(3)],
+            stop_product=1.0 / 64.0,
+            max_depth=default_max_depth(64, float(probabilities.max())),
+            max_paths=max_paths,
+        )
+        fused = generator.generate_batch(bound, None, [2, 0, 1])
+        serial = [
+            generator.generate(sorted(members), policy.bind(sorted(members)), None, repetition)
+            for repetition in (2, 0, 1)
+            for members in vectors
+        ]
+        assert list(fused) == serial
+        assert fused.truncated.any() == (max_paths is not None)
 
 
 @given(

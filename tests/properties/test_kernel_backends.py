@@ -36,9 +36,7 @@ from repro.core.kernels._contract import (
     MERGE_ROWS,
     PATHS_EXTENDED,
 )
-from repro.core.paths import PathGenerator, VectorBatch, default_max_depth
 from repro.core.skewed_index import SkewAdaptiveIndex
-from repro.core.thresholds import AdversarialThreshold
 from repro.hashing.pairwise import PathHasher
 from repro.similarity.predicates import SimilarityPredicate
 from repro.testing import rng_for
@@ -133,67 +131,102 @@ def test_backend_equals_python_reference(
     assert surfaces == python_reference["surfaces"]
 
 
-def test_small_and_large_batches_agree(backend, skewed_distribution, skewed_dataset):
-    """The small-batch fast path matches the CSR kernel pipeline exactly.
+def _python_impl():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(KERNELS_ENV_VAR, "python")
+        return get_impl()
 
-    ``PathGenerator.generate_batch`` routes batches of at most
-    ``_SMALL_BATCH_MAX`` vectors through a tuple-frontier fast path; feeding
-    the same vectors one at a time (fast path) and as one large batch
-    (kernel pipeline) must produce identical paths, flags and counter
-    totals.
+
+@pytest.mark.parametrize("max_paths", [-1, 6])
+def test_extend_level_with_repetition_tables(backend, max_paths):
+    """``extend_level`` over a multi-repetition coefficient table.
+
+    A fused pass gives every frontier entry its repetition's row of the
+    level's ``(a, b)`` table.  The active backend must match the numpy
+    reference on the whole pass, and the pass must equal its repetitions run
+    one at a time with one-row tables — which pins the per-entry lookup
+    itself, not just that both backends share it.
     """
-    from repro.core.paths import _SMALL_BATCH_MAX
-
-    probabilities = skewed_distribution.probabilities
-    generator = PathGenerator(
-        probabilities,
-        PathHasher(23),
-        stop_product=1.0 / 64.0,
-        max_depth=default_max_depth(64, float(probabilities.max())),
-        max_paths=120,
+    rng = rng_for("tests:skewed-dataset")
+    repetitions, vectors_per_repetition = 3, 5
+    num_rows = repetitions * vectors_per_repetition
+    coefficients = np.array(
+        [PathHasher(seed).level_coefficients(2) for seed in range(repetitions)], dtype=np.uint64
     )
-    policy = AdversarialThreshold(0.5)
-    vectors = [sorted(vector) for vector in skewed_dataset[: 4 * _SMALL_BATCH_MAX]]
-    bounds = [policy.bind(members) for members in vectors]
-
-    large_counters = new_counters()
-    large = generator.generate_batch(
-        VectorBatch.bind(vectors, policy), counters=large_counters
+    table_a, table_b = coefficients[:, 0].copy(), coefficients[:, 1].copy()
+    # Rows 4 and 11 have no frontier entry; the others own one to three.
+    entry_vector = np.repeat(
+        np.arange(num_rows), [2, 1, 3, 1, 0, 2, 2, 1, 1, 3, 1, 0, 2, 1, 2]
+    ).astype(np.int64)
+    entry_repetition = entry_vector // vectors_per_repetition
+    entry_sizes = rng.integers(1, 9, size=entry_vector.size)
+    entry_offsets = np.concatenate([[0], np.cumsum(entry_sizes)]).astype(np.int64)
+    num_candidates = int(entry_offsets[-1])
+    inputs = (
+        rng.integers(0, 2**63, size=num_candidates).astype(np.uint64),
+        rng.integers(0, 500, size=num_candidates).astype(np.int64),
+        rng.uniform(0.2, 0.9, size=num_candidates),
+        -rng.uniform(0.0, 3.0, size=num_candidates),
+        -rng.uniform(0.1, 2.0, size=num_candidates),
     )
-    assert len(vectors) > _SMALL_BATCH_MAX  # the batch above took the kernel path
+    vec_finished = rng.integers(0, 3, size=num_rows).astype(np.int64)
 
-    small_counters = new_counters()
-    small = []
-    for members in vectors:
-        small.extend(
-            generator.generate_batch(
-                VectorBatch.bind([members], policy), counters=small_counters
-            )
+    def run(impl, candidates, entries, table):
+        counters = new_counters()
+        lengths = np.diff(entry_offsets)[entries]
+        outputs = impl.extend_level(
+            *(column[candidates] for column in inputs),
+            np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+            entry_vector[entries],
+            entry_repetition[entries] if table.size > 1 else np.zeros(entries.size, np.int64),
+            num_rows,
+            vec_finished,
+            -2.5,
+            True,
+            max_paths,
+            table_a[table],
+            table_b[table],
+            counters,
+        )
+        new_keys, status, new_logs, expansions, truncated = outputs
+        chosen = status != 0  # keys/logs are unspecified where nothing was chosen
+        return (
+            status.tolist(),
+            new_keys[chosen].tolist(),
+            new_logs[chosen].tolist(),
+            expansions.tolist(),
+            truncated.tolist(),
+            counters.tolist(),
         )
 
-    for one, many in zip(small, large):
-        assert one.paths == many.paths
-        assert one.keys == many.keys
-        assert one.truncated == many.truncated
-        assert one.expansions == many.expansions
-    assert small_counters.tolist() == large_counters.tolist()
+    everything = np.arange(num_candidates), np.arange(entry_vector.size)
+    all_rows = np.arange(repetitions)
+    fused = run(get_impl(), *everything, all_rows)
+    assert fused == run(_python_impl(), *everything, all_rows)
+    assert (max_paths >= 0) == any(fused[4])
 
-    serial = [generator.generate(members, bound) for members, bound in zip(vectors, bounds)]
-    for one, many in zip(serial, large):
-        assert one.paths == many.paths
-        assert one.truncated == many.truncated
+    cand_entry = np.repeat(np.arange(entry_vector.size), entry_sizes)
+    alone = [
+        run(
+            get_impl(),
+            np.flatnonzero(entry_repetition[cand_entry] == repetition),
+            np.flatnonzero(entry_repetition == repetition),
+            np.array([repetition]),
+        )
+        for repetition in range(repetitions)
+    ]
+    assert fused[0] == [flag for part in alone for flag in part[0]]
+    assert fused[1] == [key for part in alone for key in part[1]]
+    assert fused[2] == [log for part in alone for log in part[2]]
+    for column in (3, 4, 5):
+        assert fused[column] == np.sum([part[column] for part in alone], axis=0).tolist()
 
 
 def test_kernel_level_equivalence(backend):
     """Exercise each kernel callable directly and compare with pure numpy."""
     rng = rng_for("tests:skewed-dataset")
     active = get_impl()
-    monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-    try:
-        reference = get_impl()
-    finally:
-        monkeypatch.undo()
+    reference = _python_impl()
 
     ids = rng.integers(0, 50, size=200).astype(np.int64)
     labels = rng.integers(0, 8, size=200).astype(np.int64)
