@@ -85,11 +85,23 @@ DECLARED_FIELDS: dict[str, frozenset[str]] = {
 #: (``Class.method`` or a module-level function name), so delegating
 #: wrappers on the index classes are not held to the engine's contract.
 SURFACE_CONTRACT: dict[str, frozenset[str]] = {
-    "FilterEngine._query_csr": frozenset(
+    # The per-repetition probe accounting of every read runner lives in one
+    # place: a lone query's in ``stream``, a chunk's in ``chunk``.
+    "_WaveProbes.stream": frozenset(
+        {"filters_generated", "repetitions_used", "shards_probed"}
+    ),
+    "_WaveProbes.chunk": frozenset(
         {
             "filters_generated",
             "repetitions_used",
+            "candidates_examined",
             "shards_probed",
+            "distinct_filter_probes",
+            "duplicate_filter_probes",
+        }
+    ),
+    "FilterEngine._query_csr": frozenset(
+        {
             "candidates_examined",
             "unique_candidates",
             "similarity_evaluations",
@@ -97,14 +109,7 @@ SURFACE_CONTRACT: dict[str, frozenset[str]] = {
         }
     ),
     "FilterEngine.query_candidates": frozenset({"unique_candidates"}),
-    "FilterEngine._query_candidates_csr": frozenset(
-        {
-            "filters_generated",
-            "repetitions_used",
-            "shards_probed",
-            "candidates_examined",
-        }
-    ),
+    "FilterEngine._query_candidates_csr": frozenset({"candidates_examined"}),
     "FilterEngine._execute_batched": frozenset(
         {
             "num_queries",
@@ -124,20 +129,10 @@ SURFACE_CONTRACT: dict[str, frozenset[str]] = {
             "generation_seconds",
             "verification_seconds",
             "merge_seconds",
-            "distinct_filter_probes",
-            "duplicate_filter_probes",
-            "shards_probed",
         }
     ),
     "FilterEngine._candidate_arrays_chunk": frozenset(
-        {
-            "num_queries",
-            "generation_seconds",
-            "merge_seconds",
-            "distinct_filter_probes",
-            "duplicate_filter_probes",
-            "shards_probed",
-        }
+        {"num_queries", "generation_seconds", "merge_seconds"}
     ),
     "run_loop_batch": frozenset(
         {"num_queries", "queries_deduplicated", "elapsed_seconds"}

@@ -10,6 +10,9 @@ contracts; ``repro lint`` rule RPL003 enforces them statically:
   and searchsorted/diff arithmetic cannot wrap.
 * :data:`OFFSET_DTYPE` — CSR offsets are ``int64`` for the same reason;
   ``np.diff`` on unsigned offsets silently wraps on any bug.
+* :data:`REPETITION_DTYPE` — the per-probe repetition column of a routed
+  probe is ``int32``: signed so a hostile negative value is a range error
+  rather than a wrap, and half the wire bytes of an id.
 
 (On-disk containers may *narrow* ids/lengths for compression —
 ``serialization._compact_ints`` — but loading always widens back to the
@@ -32,4 +35,7 @@ OFFSET_DTYPE = np.int64
 #: Path item ids (universe indexes); shares the id contract.
 ITEM_DTYPE = np.int64
 
-__all__ = ["KEY_DTYPE", "ID_DTYPE", "OFFSET_DTYPE", "ITEM_DTYPE"]
+#: Per-probe repetition numbers of a multi-repetition (routed) probe.
+REPETITION_DTYPE = np.int32
+
+__all__ = ["KEY_DTYPE", "ID_DTYPE", "OFFSET_DTYPE", "ITEM_DTYPE", "REPETITION_DTYPE"]

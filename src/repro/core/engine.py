@@ -15,23 +15,21 @@ vector.
 
 Query execution is CSR-native: from probe-key lookup to the final candidate
 set, data stays in flat numpy arrays.  Every query surface resolves its
-folded path keys through :meth:`~repro.core.inverted_index.
-InvertedFilterIndex.probe_batch` (one ``searchsorted`` over the sorted key
-table per repetition), the gathered posting segments are merged with
-sort/unique array passes, tombstones are filtered as a vectorised mask, and
-verification consumes the merged id arrays directly.  (The pre-refactor
-set-based execution that survived one release behind ``use_csr_merge=False``
-has been removed; the equivalence property suite now pins RAM-mode against
-mmap-mode execution instead.)
+folded path keys through the stores' ``probe_batch_routed`` (one
+``searchsorted`` over a sorted key table per repetition and shard), the
+gathered posting segments are merged with sort/unique array passes,
+tombstones are filtered as a vectorised mask, and verification consumes the
+merged id arrays directly.
 
 The engine is storage-agnostic: the per-repetition postings stores may be
 in-memory :class:`~repro.core.inverted_index.InvertedFilterIndex` instances
-(built or RAM-loaded) or memory-mapped
+(built or RAM-loaded), memory-mapped
 :class:`~repro.core.mmap_store.ShardedInvertedFilterIndex` views of a
-format v3 file set — both serve the same ``probe_batch`` contract, so every
-query surface answers bit-identically in either mode.  For sharded stores,
-``shard_workers`` (an engine-level default, overridable per batched call)
-fans each probe's shard gathers out over a thread pool.
+format v3 file set, or shard workers behind a router — all serve the same
+probe contract, so every query surface answers bit-identically in any mode;
+:class:`_WaveProbes` is the one place that knows which it is talking to.
+For sharded stores, ``shard_workers`` (an engine-level default, overridable
+per batched call) fans each probe's shard gathers out over a thread pool.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 from repro.core.config import DEFAULT_BATCH_SIZE
-from repro.core.dtypes import ID_DTYPE, OFFSET_DTYPE
+from repro.core.dtypes import ID_DTYPE, OFFSET_DTYPE, REPETITION_DTYPE
 from repro.core.inverted_index import InvertedFilterIndex, _segment_gather, _segments_differ
 from repro.core.kernels import get_impl, new_counters
 from repro.core.mmap_store import LazyVectorStore
@@ -111,13 +109,6 @@ def default_repetitions(num_vectors: int) -> int:
     if num_vectors <= 1:
         return 1
     return int(math.ceil(math.log2(num_vectors))) + 1
-
-
-def _route_shards(route: np.ndarray) -> int:
-    """Distinct probe-table shards a probe's routing vector touches."""
-    if not route.size:
-        return 0
-    return int(np.unique(route).size)
 
 
 def _first_filter_with_same_path(filters: FilterBatch) -> np.ndarray | None:
@@ -228,6 +219,218 @@ class _FilterWaves:
             filters = filters.take(np.searchsorted(self._wave_queries, live))
         self.seconds += time.perf_counter() - start
         return filters
+
+    @property
+    def end(self) -> int:
+        """The first repetition past the current wave."""
+        assert self._wave is not None
+        return self._wave_start + self._wave.repetitions
+
+
+def _distinct_probes(
+    filters: FilterBatch,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """A batch's filters deduplicated *by path*: the probes, and who shares them.
+
+    Two queries sharing a filter probe it once: :func:`_first_filter_with_
+    same_path` groups the filters by folded key and verifies the paths, so
+    the dedupe stays as collision-free as the probe itself.  Returns the
+    distinct probes ``(probe_items, probe_offsets, probe_keys)`` in
+    first-appearance order and each filter's index among them — ``None``
+    when the filters are the probes: no two even share a key, or they are
+    one vector's (distinct nodes of one tree, by construction).
+    """
+    representative = None if len(filters) == 1 else _first_filter_with_same_path(filters)
+    if representative is None:
+        return filters.path_items, filters.path_offsets, filters.keys, None
+    is_distinct = representative == np.arange(filters.num_filters, dtype=OFFSET_DTYPE)
+    distinct_filters = np.flatnonzero(is_distinct)
+    probe_lengths = np.diff(filters.path_offsets)[distinct_filters]
+    probe_offsets = np.zeros(distinct_filters.size + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(probe_lengths, out=probe_offsets[1:])
+    probe_items = _segment_gather(
+        filters.path_items, filters.path_offsets[distinct_filters], probe_lengths
+    )
+    slots = (np.cumsum(is_distinct) - 1)[representative]
+    return probe_items, probe_offsets, filters.keys[distinct_filters], slots
+
+
+class _WaveProbes:
+    """Each repetition's resolved probes for the live queries, in turn.
+
+    The read runners merge, verify and decide ``mode="first"`` exits one
+    repetition at a time, in order; this is the one place that decides *when*
+    a repetition's filters meet the store.  An in-process store (RAM, mmap)
+    is probed on demand, one repetition per call: it has no round trip to
+    save, and a probe an early exit avoids is work avoided.  Behind a shard
+    router every call is a round trip per worker whatever it carries, so a
+    whole span of repetitions is resolved in **one** fan-out as soon as its
+    filters exist — the generation wave, or every repetition on an
+    ``exhaustive`` surface (no early exit: certain to probe them all) — and
+    handed out repetition by repetition, restricted to the queries still
+    live.  What is handed out is, row for row and count for count, what
+    probing just those queries returns; only the router's own fan-out record
+    counts the speculative tail.
+
+    Each repetition's probes are deduplicated across the queries first.
+    ``seconds`` is the wall time of probing and bookkeeping, generation
+    excluded — merge time, even for a fan-out issued when a wave is generated.
+    """
+
+    def __init__(
+        self,
+        engine: "FilterEngine",
+        waves: _FilterWaves,
+        shard_workers: int | None,
+        exhaustive: bool,
+    ):
+        self._waves = waves
+        self._indexes = engine._indexes
+        self._router = engine._shard_router
+        self._shard_workers = shard_workers
+        #: Where a routed span ends; ``None``: with the generation wave.
+        self._span_end = engine.repetitions if exhaustive else None
+        #: Repetitions ``[_start, _end)`` are resolved, for the queries ``_live``.
+        self._start = self._end = 0
+        self._live: Sequence[int] = ()
+        self._resolved: list[Any] = []
+        self.seconds = 0.0
+
+    def _probe_set(self, repetition: int, live: Sequence[int]) -> tuple[Any, ...]:
+        """``(vector_offsets, probe_items, probe_offsets, probe_keys, slots)``."""
+        filters = self._waves.filters(repetition, live)
+        return (filters.vector_offsets, *_distinct_probes(filters))
+
+    def _resolve(self, repetition: int, live: Sequence[int]) -> None:
+        """Generate and probe the span of repetitions starting at ``repetition``."""
+        sets = [self._probe_set(repetition, live)]
+        end = repetition + 1
+        if self._router is None:
+            vector_offsets, items, probe_offsets, keys, slots = sets[0]
+            resolved = self._indexes[repetition].probe_batch_routed(
+                items, probe_offsets, keys, shard_workers=self._shard_workers
+            )
+            self._resolved = [(vector_offsets, *resolved, slots)]
+        else:
+            end = self._span_end or self._waves.end
+            sets += [self._probe_set(later, live) for later in range(repetition + 1, end)]
+            # One request for the span; rebinding each name to its concatenation
+            # leaves the request the only holder of the span's filters.
+            vector_offsets, items, probe_offsets, keys, slots = zip(*sets)
+            del sets
+            bounds = np.cumsum([0, *(part.size for part in keys)]).tolist()
+            column = np.repeat(np.arange(repetition, end, dtype=REPETITION_DTYPE), np.diff(bounds))
+            items, keys = np.concatenate(items), np.concatenate(keys)
+            lengths = np.concatenate([np.diff(part) for part in probe_offsets])
+            probe_offsets = np.zeros(keys.size + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(lengths, out=probe_offsets[1:])
+            ids, offsets, route = self._router.probe_batch_routed(
+                column, items, probe_offsets, keys
+            )
+            self._resolved = [
+                (
+                    vector_offsets[position],
+                    ids[offsets[low] : offsets[high]],
+                    offsets[low : high + 1] - offsets[low],
+                    route[low:high],
+                    slots[position],
+                )
+                for position, (low, high) in enumerate(zip(bounds, bounds[1:]))
+            ]
+        self._start, self._end, self._live = repetition, end, live
+
+    def probe(self, repetition: int, live: Sequence[int]) -> tuple[Any, ...]:
+        """``repetition``'s probes of ``queries[k] for k in live``, resolved.
+
+        Returns ``(vector_offsets, ids, offsets, route, slots, distinct)``:
+        live query ``k`` owns the filters ``vector_offsets[k]:vector_offsets[k
+        + 1]``; filter ``f`` collided with ``ids[offsets[s]:offsets[s + 1]]``
+        in shard ``route[s]``, where ``s = slots[f]`` (``f`` itself when
+        ``slots`` is ``None``); ``distinct`` of those filters are distinct
+        paths.  ``live`` is ascending and only ever shrinks; repetitions are
+        asked for in order, each once.
+        """
+        start = time.perf_counter()
+        generating = self._waves.seconds
+        if repetition >= self._end:
+            self._resolve(repetition, live)
+        position = repetition - self._start
+        vector_offsets, ids, offsets, route, slots = self._resolved[position]
+        self._resolved[position] = None  # handed out once: rows die with their reader
+        distinct = offsets.size - 1
+        if len(live) != len(self._live):
+            # Resolved for more queries than are still live: keep their filters.
+            alive = np.isin(self._live, live, assume_unique=True)
+            counts = np.diff(vector_offsets)
+            kept = np.flatnonzero(np.repeat(alive, counts))
+            slots = kept if slots is None else slots[kept]
+            distinct = int(np.unique(slots).size)
+            vector_offsets = np.zeros(len(live) + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(counts[alive], out=vector_offsets[1:])
+        self.seconds += time.perf_counter() - start - (self._waves.seconds - generating)
+        return vector_offsets, ids, offsets, route, slots, distinct
+
+    def stream(self, repetition: int, stats: QueryStats) -> np.ndarray:
+        """:meth:`probe` for a lone query: its collision stream, accounted."""
+        vector_offsets, ids, _offsets, route, _slots, _distinct = self.probe(repetition, (0,))
+        stats.filters_generated += int(vector_offsets[-1])
+        stats.repetitions_used += 1
+        # The probe reports which shard each key resolved to, so shard
+        # accounting never routes the same keys a second time.
+        stats.shards_probed += int(np.unique(route).size)
+        return ids
+
+    def chunk(
+        self, repetition: int, live: Sequence[int], chunk_stats: BatchQueryStats
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """:meth:`probe` for a chunk: per-query collision streams, accounted.
+
+        Returns ``(occurrence_ids, query_offsets)`` — live query ``k`` owns
+        ``occurrence_ids[query_offsets[k]:query_offsets[k + 1]]``, its
+        filters' posting lists in path order — or ``None`` when no live query
+        generated a filter.  Accounts every as-if count the repetition moves:
+        the chunk's distinct / duplicate probes and distinct shards, and per
+        live query its filters, its stream length and the distinct shards its
+        own filters routed to, all from the probe's one routing vector.
+        """
+        vector_offsets, ids, offsets, route, slots, distinct = self.probe(repetition, live)
+        num_filters = int(vector_offsets[-1])
+        if not num_filters:
+            for index in live:
+                chunk_stats.per_query[index].repetitions_used += 1
+            return None
+        start = time.perf_counter()
+        if slots is None:
+            occurrence_ids, occurrence_bounds, filter_route = ids, offsets, route
+        else:
+            # Re-expand the distinct probes' segments to one per filter.
+            per_path = np.diff(offsets)[slots]
+            occurrence_ids = _segment_gather(ids, offsets[:-1][slots], per_path)
+            occurrence_bounds = np.zeros(num_filters + 1, dtype=OFFSET_DTYPE)
+            np.cumsum(per_path, out=occurrence_bounds[1:])
+            filter_route = route[slots]
+        query_offsets = occurrence_bounds[vector_offsets]
+        # Mark the chunk's distinct (query, shard) pairs, count them both ways.
+        filter_counts = np.diff(vector_offsets)
+        touched = np.zeros((len(live), int(filter_route.max()) + 1), dtype=bool)
+        filter_query = np.repeat(np.arange(len(live), dtype=OFFSET_DTYPE), filter_counts)
+        touched[filter_query, filter_route] = True
+        chunk_stats.distinct_filter_probes += distinct
+        chunk_stats.duplicate_filter_probes += num_filters - distinct
+        chunk_stats.shards_probed += int(np.count_nonzero(touched.any(axis=0)))
+        self.seconds += time.perf_counter() - start
+        for index, count, examined, shards in zip(
+            live,
+            filter_counts.tolist(),
+            np.diff(query_offsets).tolist(),
+            touched.sum(axis=1).tolist(),
+        ):
+            query_stats = chunk_stats.per_query[index]
+            query_stats.filters_generated += count
+            query_stats.repetitions_used += 1
+            query_stats.candidates_examined += examined
+            query_stats.shards_probed += shards
+        return occurrence_ids, query_offsets
 
 
 class FilterEngine:
@@ -419,19 +622,20 @@ class FilterEngine:
         """The shard router fanning this engine's probes across workers.
 
         ``None`` in every single-process mode.  Set by
-        :func:`repro.dist.load_routed_index`; the engine itself only drains
-        the router's per-batch fan-out accounting into
-        ``BatchQueryStats.fanout`` — probe routing happens inside the
-        router-backed per-repetition stores.
+        :func:`repro.dist.load_routed_index`; the query surfaces hand it
+        whole waves of repetitions (``probe_batch_routed``) and drain its
+        per-batch fan-out accounting into ``BatchQueryStats.fanout``.
         """
         return self._shard_router
 
     @shard_router.setter
     def shard_router(self, router: Any | None) -> None:
-        if router is not None and not hasattr(router, "take_fanout_stats"):
+        if router is not None and not (
+            hasattr(router, "probe_batch_routed") and hasattr(router, "take_fanout_stats")
+        ):
             raise ValueError(
-                "shard_router must expose take_fanout_stats() "
-                f"(got {type(router).__name__})"
+                "shard_router must expose probe_batch_routed() and "
+                f"take_fanout_stats() (got {type(router).__name__})"
             )
         self._shard_router = router
 
@@ -678,21 +882,10 @@ class FilterEngine:
         # ``filters_generated`` still counts only the repetitions the query
         # gets to; the kernel counters count the whole pass.
         waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
+        probes = _WaveProbes(self, waves, self._shard_workers, exhaustive=mode == "best")
 
         for repetition in range(self._repetitions):
-            filters = waves.filters(repetition, (0,))
-            stats.filters_generated += filters.num_filters
-            stats.repetitions_used += 1
-            inverted = self._indexes[repetition]
-            # The routed probe reports which shard each key resolved to, so
-            # shard accounting no longer routes the same keys a second time.
-            ids, _offsets, route = inverted.probe_batch_routed(
-                filters.path_items,
-                filters.path_offsets,
-                filters.keys,
-                shard_workers=self._shard_workers,
-            )
-            stats.shards_probed += _route_shards(route)
+            ids = probes.stream(repetition, stats)
             if not ids.size:
                 continue
             # First-appearance dedupe: candidates must be evaluated in the
@@ -763,18 +956,9 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
+        probes = _WaveProbes(self, waves, self._shard_workers, exhaustive=True)
         for repetition in range(self._repetitions):
-            filters = waves.filters(repetition, (0,))
-            stats.filters_generated += filters.num_filters
-            stats.repetitions_used += 1
-            inverted = self._indexes[repetition]
-            ids, _offsets, route = inverted.probe_batch_routed(
-                filters.path_items,
-                filters.path_offsets,
-                filters.keys,
-                shard_workers=self._shard_workers,
-            )
-            stats.shards_probed += _route_shards(route)
+            ids = probes.stream(repetition, stats)
             stats.candidates_examined += int(ids.size)
             if ids.size:
                 parts.append(ids)
@@ -1077,90 +1261,6 @@ class FilterEngine:
     # Batched chunk execution (CSR-native)
     # ------------------------------------------------------------------ #
 
-    def _probe_chunk_repetition(
-        self,
-        inverted: InvertedFilterIndex,
-        filters: FilterBatch,
-        shard_workers: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, int, int, int, np.ndarray] | None:
-        """Resolve one repetition's probes for a whole chunk in one gather.
-
-        The chunk's filters are deduplicated *by path* (two queries sharing
-        a filter probe it once; :func:`_first_filter_with_same_path` groups
-        them by folded key and verifies the paths, so the dedupe stays as
-        collision-free as :meth:`InvertedFilterIndex.probe_batch` itself).
-        The distinct probes (in first-appearance order) are resolved in one
-        array probe (fanned out per shard when the store is sharded and
-        ``shard_workers`` is set), and the posting segments are re-expanded
-        to per-query collision streams.
-
-        Returns ``(occurrence_ids, query_offsets, distinct, duplicate,
-        shards, query_shards)`` where query ``k`` of the chunk owns the
-        collision stream ``occurrence_ids[query_offsets[k]:query_offsets[k +
-        1]]`` in path order, ``shards`` counts the distinct probe-table
-        shards the deduplicated probe set touched, and ``query_shards[k]``
-        counts the distinct shards query ``k``'s own filters routed to —
-        both derived from the single routed probe, so the keys are routed
-        exactly once per chunk-repetition.  Returns ``None`` when no query
-        generated any filter.
-        """
-        num_filters = filters.num_filters
-        if not num_filters:
-            return None
-        representative = _first_filter_with_same_path(filters)
-        inverse: np.ndarray | None = None
-        if representative is None:
-            # No two filters even share a key: the chunk's filters are the
-            # probe set as they are, and the probe result is the stream.
-            distinct = num_filters
-            probe_items, probe_offsets, probe_keys = (
-                filters.path_items,
-                filters.path_offsets,
-                filters.keys,
-            )
-        else:
-            is_distinct = representative == np.arange(num_filters, dtype=OFFSET_DTYPE)
-            distinct_filters = np.flatnonzero(is_distinct)
-            inverse = (np.cumsum(is_distinct) - 1)[representative]
-            distinct = int(distinct_filters.size)
-            probe_lengths = np.diff(filters.path_offsets)[distinct_filters]
-            probe_items = _segment_gather(
-                filters.path_items, filters.path_offsets[distinct_filters], probe_lengths
-            )
-            probe_offsets = np.zeros(distinct + 1, dtype=OFFSET_DTYPE)
-            np.cumsum(probe_lengths, out=probe_offsets[1:])
-            probe_keys = filters.keys[distinct_filters]
-        ids, offsets, route = inverted.probe_batch_routed(
-            probe_items, probe_offsets, probe_keys, shard_workers=shard_workers
-        )
-        shards = _route_shards(route)
-        if inverse is None:
-            occurrence_ids, occurrence_bounds, filter_route = ids, offsets, route
-        else:
-            per_path = np.diff(offsets)[inverse]
-            occurrence_ids = _segment_gather(ids, offsets[:-1][inverse], per_path)
-            occurrence_bounds = np.zeros(num_filters + 1, dtype=OFFSET_DTYPE)
-            np.cumsum(per_path, out=occurrence_bounds[1:])
-            filter_route = route[inverse]
-        # Per-query boundaries of the expanded collision stream.
-        query_offsets = occurrence_bounds[filters.vector_offsets]
-        # Per-query shard fan-out from the same routing vector: mark the
-        # chunk's distinct (query, shard) pairs, count them per query.
-        num_queries = len(filters)
-        touched = np.zeros((num_queries, int(route.max()) + 1), dtype=bool)
-        filter_query = np.repeat(
-            np.arange(num_queries, dtype=OFFSET_DTYPE), filters.filter_counts
-        )
-        touched[filter_query, filter_route] = True
-        return (
-            occurrence_ids,
-            query_offsets,
-            distinct,
-            num_filters - distinct,
-            shards,
-            touched.sum(axis=1),
-        )
-
     def _query_batch_chunk(
         self,
         chunk: Sequence[frozenset[int]],
@@ -1184,33 +1284,21 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         waves = _FilterWaves(self._generator, self._threshold_policy, chunk, counters)
+        probes = _WaveProbes(self, waves, shard_workers, exhaustive=mode == "best")
 
         for repetition in range(self._repetitions):
             if not active:
                 break
-            filters = waves.filters(repetition, active)
-            inverted = self._indexes[repetition]
-            for index, count in zip(active, filters.filter_counts.tolist()):
-                query_stats = chunk_stats.per_query[index]
-                query_stats.filters_generated += count
-                query_stats.repetitions_used += 1
-            merge_start = time.perf_counter()
-            probe = self._probe_chunk_repetition(inverted, filters, shard_workers)
-            chunk_stats.merge_seconds += time.perf_counter() - merge_start
-            if probe is None:
+            streams = probes.chunk(repetition, active, chunk_stats)
+            if streams is None:
                 continue
-            occurrence_ids, query_offsets, distinct, duplicate, shards, query_shards = probe
-            chunk_stats.distinct_filter_probes += distinct
-            chunk_stats.duplicate_filter_probes += duplicate
-            chunk_stats.shards_probed += shards
+            occurrence_ids, query_offsets = streams
 
             surviving: list[int] = []
             for position, index in enumerate(active):
                 query_stats = chunk_stats.per_query[index]
-                query_stats.shards_probed += int(query_shards[position])
                 merge_start = time.perf_counter()
                 flat = occurrence_ids[query_offsets[position] : query_offsets[position + 1]]
-                query_stats.candidates_examined += int(flat.size)
                 ordered_new = _EMPTY_IDS
                 if flat.size:
                     ordered, _first_positions = impl.ordered_unique(flat, counters)
@@ -1256,6 +1344,7 @@ class FilterEngine:
                     results[index] = best_id
                     chunk_stats.per_query[index].found = True
         chunk_stats.generation_seconds = waves.seconds
+        chunk_stats.merge_seconds += probes.seconds
         chunk_stats.kernel.add_counters(counters)
         return results, chunk_stats
 
@@ -1283,33 +1372,16 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         waves = _FilterWaves(self._generator, self._threshold_policy, chunk, counters)
+        probes = _WaveProbes(self, waves, shard_workers, exhaustive=True)
 
         for repetition in range(self._repetitions):
-            filters = waves.filters(repetition, active)
-            inverted = self._indexes[repetition]
-            for index, count in zip(active, filters.filter_counts.tolist()):
-                query_stats = chunk_stats.per_query[index]
-                query_stats.filters_generated += count
-                query_stats.repetitions_used += 1
-            merge_start = time.perf_counter()
-            probe = self._probe_chunk_repetition(inverted, filters, shard_workers)
-            if probe is not None:
-                occurrence_ids, query_offsets, distinct, duplicate, shards, query_shards = (
-                    probe
-                )
-                chunk_stats.distinct_filter_probes += distinct
-                chunk_stats.duplicate_filter_probes += duplicate
-                chunk_stats.shards_probed += shards
-                counts = np.diff(query_offsets)
-                for position, index in enumerate(active):
-                    query_stats = chunk_stats.per_query[index]
-                    query_stats.candidates_examined += int(counts[position])
-                    query_stats.shards_probed += int(query_shards[position])
+            streams = probes.chunk(repetition, active, chunk_stats)
+            if streams is not None:
+                occurrence_ids, query_offsets = streams
                 id_parts.append(occurrence_ids)
                 label_parts.append(
-                    np.repeat(np.arange(len(active), dtype=np.int64), counts)
+                    np.repeat(np.arange(len(active), dtype=np.int64), np.diff(query_offsets))
                 )
-            chunk_stats.merge_seconds += time.perf_counter() - merge_start
 
         merge_start = time.perf_counter()
         if id_parts:
@@ -1331,7 +1403,7 @@ class FilterEngine:
                     segment = ids_unique[boundaries[position] : boundaries[position + 1]]
                     results[index] = segment
                     chunk_stats.per_query[index].unique_candidates = int(segment.size)
-        chunk_stats.merge_seconds += time.perf_counter() - merge_start
+        chunk_stats.merge_seconds += probes.seconds + time.perf_counter() - merge_start
         chunk_stats.generation_seconds = waves.seconds
         chunk_stats.kernel.add_counters(counters)
         return results, chunk_stats

@@ -144,7 +144,14 @@ def probe_sorted_arrays(
 
 
 class ShardSlice:
-    """One repetition's arrays within one shard (typically memmap views)."""
+    """One repetition's arrays within one shard (typically mapped files).
+
+    The arrays are held as base-class ``ndarray`` views: ``np.asarray`` of
+    an ``np.memmap`` shares its pages and its laziness without a copy, and
+    sheds the subclass whose Python-level ``__array_finalize__`` /
+    ``__getitem__`` would otherwise run on every intermediate array of
+    every probe.
+    """
 
     __slots__ = (
         "keys",
@@ -164,11 +171,11 @@ class ShardSlice:
         posting_offsets: np.ndarray,
         has_duplicate_keys: bool,
     ) -> None:
-        self.keys = keys
-        self.path_items = path_items
-        self.path_offsets = path_offsets
-        self.posting_ids = posting_ids
-        self.posting_offsets = posting_offsets
+        self.keys = np.asarray(keys)
+        self.path_items = np.asarray(path_items)
+        self.path_offsets = np.asarray(path_offsets)
+        self.posting_ids = np.asarray(posting_ids)
+        self.posting_offsets = np.asarray(posting_offsets)
         self.has_duplicate_keys = bool(has_duplicate_keys)
 
     @property

@@ -283,7 +283,7 @@ class FaultyTransport(ShardTransport):
     def probe(
         self,
         worker: int,
-        repetition: int,
+        repetitions: int | np.ndarray,
         keys: np.ndarray,
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
@@ -291,7 +291,7 @@ class FaultyTransport(ShardTransport):
     ) -> tuple[np.ndarray, np.ndarray]:
         self._before(worker)
         return self._inner.probe(
-            worker, repetition, keys, probe_items, probe_offsets, deadline=deadline
+            worker, repetitions, keys, probe_items, probe_offsets, deadline=deadline
         )
 
     def contains(self, worker: int, repetition: int, key: int, items: np.ndarray) -> bool:

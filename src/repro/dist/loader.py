@@ -25,6 +25,7 @@ from repro.core.serialization import (
     _restore_engine,
 )
 from repro.core.stats import BuildStats
+from repro.dist import protocol
 from repro.dist.faults import FaultSpec, FaultyTransport, fault_spec_from_env
 from repro.dist.router import RouterBackedFilterIndex, ShardRouter
 from repro.dist.transport import (
@@ -84,7 +85,10 @@ def load_routed_index(
 
     Returns the same index type ``load_index`` would, with its engine's
     ``shard_router`` set; close the router (``shard_router_of(index).close()``)
-    to stop the workers.
+    to stop the workers.  Every worker is asked to ``describe`` itself first:
+    one that reports an older probe schema than this build sends (or none)
+    is refused with :class:`~repro.dist.protocol.ProtocolVersionError`, one
+    serving a different index geometry with ``ValueError``.
     """
     path = Path(path)
     if not path.is_dir():
@@ -122,19 +126,27 @@ def load_routed_index(
     if spec is not None:
         transport_obj = FaultyTransport(transport_obj, spec)
     try:
-        if transport == "socket":
-            # Remote workers must be serving a compatible index.
-            for worker in range(transport_obj.num_workers):
-                info = transport_obj.describe(worker)
-                if int(info["num_shards"]) != num_shards or int(
-                    info["repetitions"]
-                ) != repetitions:
-                    raise ValueError(
-                        f"shard worker {worker} serves an index with "
-                        f"{info['num_shards']} shards / {info['repetitions']} "
-                        f"repetitions but {path} has {num_shards} / {repetitions}; "
-                        "the worker was started on a different index"
-                    )
+        # Every worker, on every transport, must speak this build's probe
+        # schema and serve a compatible index.
+        for worker in range(transport_obj.num_workers):
+            info = transport_obj.describe(worker)
+            spoken = info.get("protocol")
+            if not isinstance(spoken, int) or spoken < protocol.PROTOCOL_VERSION:
+                raise protocol.ProtocolVersionError(
+                    f"shard worker {worker} speaks probe schema version "
+                    f"{'1 (it reports none)' if spoken is None else spoken} but this "
+                    f"router sends version {protocol.PROTOCOL_VERSION} (a per-probe "
+                    "repetitions column); restart the worker from this build"
+                )
+            if int(info["num_shards"]) != num_shards or int(
+                info["repetitions"]
+            ) != repetitions:
+                raise ValueError(
+                    f"shard worker {worker} serves an index with "
+                    f"{info['num_shards']} shards / {info['repetitions']} "
+                    f"repetitions but {path} has {num_shards} / {repetitions}; "
+                    "the worker was started on a different index"
+                )
         owner = shard_to_worker_map(transport_obj.assignments, num_shards)
         router = ShardRouter(transport_obj, fences, owner)
     except BaseException:

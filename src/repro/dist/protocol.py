@@ -31,11 +31,20 @@ as-is.
 Message kinds (the ``meta["kind"]`` field):
 
 =========== ==========================================================
-``probe``    resolve a CSR batch of probes for one repetition
+``probe``    resolve a CSR batch of probes, each against the repetition
+             its row of the ``repetitions`` column names
 ``contains`` exact is-this-path-stored check for one key
-``describe`` worker topology/health (owned shards, repetitions, pid)
+``describe`` worker topology/health (owned shards, repetitions, pid,
+             probe schema version)
 ``shutdown`` finish the current request loop and exit cleanly
 =========== ==========================================================
+
+The probe schema is versioned (:data:`PROTOCOL_VERSION`): version 1 named
+one repetition per frame in ``meta["repetition"]``; version 2 ships a
+per-probe ``repetitions`` column, so one frame carries a whole wave of
+repetitions.  Workers report their version in ``describe`` and the loader
+refuses an older one (:class:`ProtocolVersionError`); the other three
+message kinds are the same in both versions.
 """
 
 from __future__ import annotations
@@ -47,6 +56,11 @@ import zlib
 from typing import Any, Mapping
 
 import numpy as np
+
+from repro.core.dtypes import REPETITION_DTYPE
+
+#: Version of the probe request schema this build speaks (see module doc).
+PROTOCOL_VERSION = 2
 
 MESSAGE_PROBE = "probe"
 MESSAGE_CONTAINS = "contains"
@@ -63,6 +77,11 @@ STATUS_ERROR = "error"
 #: not count it against the worker's circuit breaker.
 ERROR_CODE_DEADLINE = "deadline"
 
+#: ``meta["code"]`` of an error response meaning "this probe frame is not
+#: in the schema version the worker speaks" (a version 1 router, or any
+#: frame without the repetition column).
+ERROR_CODE_PROTOCOL_VERSION = "protocol-version"
+
 _MAGIC = b"RPD1"
 _PREFIX = struct.Struct("<4sI")  # magic, header length
 _FRAME_PREFIX = struct.Struct("<I")  # socket-level frame length
@@ -74,6 +93,10 @@ MAX_FRAME_BYTES = 1 << 30
 
 class ProtocolError(ValueError):
     """A frame that does not decode as a shard-protocol message."""
+
+
+class ProtocolVersionError(ProtocolError):
+    """The peer speaks another version of the probe schema."""
 
 
 class ConnectionClosed(ConnectionError):
@@ -217,26 +240,40 @@ def encode_error(kind: str, message: str, code: str | None = None) -> bytes:
     return encode_message(meta)
 
 
+def repetition_column(repetitions: int | np.ndarray, num_probes: int) -> np.ndarray:
+    """The per-probe repetition column of a probe request.
+
+    An int — every probe against the same repetition — is broadcast; a
+    column is passed through in the declared dtype.  Every entry point that
+    accepts either form normalises here, so only columns reach the wire
+    and the worker.
+    """
+    if isinstance(repetitions, (int, np.integer)):
+        return np.full(num_probes, repetitions, dtype=REPETITION_DTYPE)
+    return np.ascontiguousarray(repetitions, dtype=REPETITION_DTYPE)
+
+
 def encode_probe_request(
-    repetition: int,
+    repetitions: int | np.ndarray,
     keys: np.ndarray,
     probe_items: np.ndarray,
     probe_offsets: np.ndarray,
     deadline: float | None = None,
 ) -> bytes:
-    """A probe request: folded keys plus the probes' paths in CSR form.
+    """A probe request: per probe its repetition, folded key and CSR path.
 
     ``deadline`` is an absolute wall-clock epoch (``time.time()`` scale —
     the only clock that crosses process and host boundaries); a worker
     that sees it in the past answers a deadline-coded error instead of
     doing the work.
     """
-    meta: dict[str, Any] = {"kind": MESSAGE_PROBE, "repetition": int(repetition)}
+    meta: dict[str, Any] = {"kind": MESSAGE_PROBE}
     if deadline is not None:
         meta["deadline"] = float(deadline)
     return encode_message(
         meta,
         {
+            "repetitions": repetition_column(repetitions, len(keys)),
             "keys": np.ascontiguousarray(keys, dtype=np.uint64),
             "probe_items": np.ascontiguousarray(probe_items, dtype=np.int64),
             "probe_offsets": np.ascontiguousarray(probe_offsets, dtype=np.int64),

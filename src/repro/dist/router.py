@@ -6,13 +6,18 @@ probe batch it routes every folded key **once** (one ``searchsorted``
 over the fences, exactly as single-process mmap mode does), groups the
 probes by owning worker, sends each worker one compact CSR sub-request,
 and scatter-merges the returned ``(lengths, ids)`` slices back into
-probe order.  The merged output is bit-identical to
-:meth:`ShardedInvertedFilterIndex.probe_batch_routed` because the
-resolution *and* the scatter are the same algorithms over the same
-arrays — only the process boundary moved.
+probe order.  A batch names a repetition *per probe*, so one fan-out —
+one round trip per touched worker — carries as many repetitions as the
+caller has filters for; the engine hands it a whole generation wave.  The
+merged output is bit-identical to one
+:meth:`ShardedInvertedFilterIndex.probe_batch_routed` per repetition,
+concatenated, because the resolution *and* the scatter are the same
+algorithms over the same arrays — only the process boundary moved.
 
 :class:`RouterBackedFilterIndex` wraps one repetition of the routed index
-in the store interface the engine already speaks, so the entire query
+in the store interface the per-repetition callers speak (tuple lookups,
+``in``, statistics); the engine's query surfaces call the router itself
+and only change *when* a repetition's probes are resolved, so the
 pipeline above the probe layer (dedupe, merges, verification, stats) is
 untouched — that is what makes all five query surfaces equivalent for
 free.
@@ -55,9 +60,12 @@ class ShardRouter:
     """Routes probe batches across shard workers and accounts the fan-out.
 
     One router serves every repetition of a loaded index (repetitions
-    share fences, so the routing table is repetition-independent); the
-    per-repetition :class:`RouterBackedFilterIndex` views carry their
-    repetition number into each request.
+    share fences, so the routing table is repetition-independent): every
+    probe of a batch carries its own repetition number, and a fan-out sends
+    each touched worker one request whatever repetitions the batch mixes.
+    ``ShardFanoutStats.requests`` therefore counts frames sent and ``rows``
+    the postings shipped — including those of repetitions an early exit
+    upstream never reads.
 
     Fan-out accounting is two-tier: ``take_fanout_stats`` drains a pending
     delta (folded into each ``BatchQueryStats`` by the engine), while
@@ -240,24 +248,32 @@ class ShardRouter:
 
     def probe_batch_routed(
         self,
-        repetition: int,
+        repetitions: int | np.ndarray,
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Route, fan out, and merge one probe batch for one repetition.
+        """Route, fan out, and merge one probe batch in one round of requests.
 
-        The probes arrive in CSR form (exactly what each worker sub-request
-        ships) and the result is ``(ids, offsets, route)`` with the identical
-        contract — including the *shard-level* route array — as the
-        single-process :meth:`ShardedInvertedFilterIndex.probe_batch_routed`,
-        so every stats counter derived from the route (``shards_probed``)
-        agrees bit-for-bit across execution modes.
+        ``repetitions`` names the repetition each probe is resolved in: a
+        per-probe column, or an int for a batch within one repetition.  The
+        probes arrive in CSR form (exactly what each worker sub-request
+        ships) and the result is ``(ids, offsets, route)`` in probe order
+        with the identical contract — including the *shard-level* route
+        array — as the single-process
+        :meth:`ShardedInvertedFilterIndex.probe_batch_routed` called once
+        per repetition and concatenated, so every stats counter derived
+        from the route (``shards_probed``) agrees bit-for-bit across
+        execution modes.  The request scope (deadline, ``allow_partial``),
+        each worker's breaker slot and the failure handling all apply once
+        per fan-out: a worker skipped under ``allow_partial`` answers zero
+        postings for every repetition of the batch.
         """
         num_probes = len(probe_offsets) - 1
         empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
             return empty, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        column = protocol.repetition_column(repetitions, num_probes)
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
         probe_starts = probe_offsets[:-1]
         probe_lengths = np.diff(probe_offsets)
@@ -302,7 +318,7 @@ class ShardRouter:
             started = time.perf_counter()
             try:
                 lengths, gathered = self._transport.probe(
-                    worker, repetition, sub_keys, sub_items, sub_offsets,
+                    worker, column[members], sub_keys, sub_items, sub_offsets,
                     deadline=deadline,
                 )
             except DeadlineExceededError:
@@ -382,13 +398,16 @@ class ShardRouter:
 
 
 class RouterBackedFilterIndex:
-    """One repetition of a routed index, speaking the engine's store contract.
+    """One repetition of a routed index, speaking the store contract.
 
     Drop-in for :class:`~repro.core.mmap_store.ShardedInvertedFilterIndex`
     on the read path; statistics answer from the manifest counts exactly as
     the mmap store does, and mutation raises the same read-only error
-    family.  ``shard_workers`` arguments are accepted and ignored — the
-    router's fan-out is process-level and always on.
+    family.  A probe through this view is a fan-out of its own, for one
+    repetition — right for lookups and diagnostics; the engine's query
+    surfaces resolve whole waves of repetitions through the router itself.
+    ``shard_workers`` arguments are accepted and ignored — the router's
+    fan-out is process-level and always on.
     """
 
     is_sharded = True

@@ -160,19 +160,24 @@ class ShardTransport:
     def probe(
         self,
         worker: int,
-        repetition: int,
+        repetitions: int | np.ndarray,
         keys: np.ndarray,
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         deadline: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """One probe round trip: ``(lengths, ids)`` in probe order.
+
+        ``repetitions`` is the per-probe repetition column (an int is
+        broadcast), so one round trip can carry a whole wave of repetitions.
+        """
         if deadline is not None and time.time() >= deadline:
             raise DeadlineExceededError(
                 f"deadline expired before the probe request to worker {worker} "
                 "was sent"
             )
         payload = protocol.encode_probe_request(
-            repetition, keys, probe_items, probe_offsets, deadline=deadline
+            repetitions, keys, probe_items, probe_offsets, deadline=deadline
         )
         _meta, arrays = self._decode_response(self._request(worker, payload))
         return arrays["lengths"], arrays["ids"]
@@ -227,14 +232,18 @@ class InprocTransport(ShardTransport):
     def probe(
         self,
         worker: int,
-        repetition: int,
+        repetitions: int | np.ndarray,
         keys: np.ndarray,
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         deadline: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         return self._states[worker].probe(
-            repetition, keys, probe_items, probe_offsets, deadline=deadline
+            protocol.repetition_column(repetitions, len(keys)),
+            keys,
+            probe_items,
+            probe_offsets,
+            deadline=deadline,
         )
 
     def contains(self, worker: int, repetition: int, key: int, items: np.ndarray) -> bool:

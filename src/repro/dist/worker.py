@@ -29,6 +29,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.dtypes import REPETITION_DTYPE
 from repro.core.engine import DeadlineExceededError
 from repro.core.inverted_index import _segment_gather
 from repro.core.mmap_store import ShardSlice, probe_sorted_arrays, route_keys
@@ -115,7 +116,7 @@ class ShardWorkerState:
 
     def probe(
         self,
-        repetition: int,
+        repetitions: np.ndarray,
         keys: np.ndarray,
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
@@ -123,13 +124,21 @@ class ShardWorkerState:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Resolve a CSR probe batch against the owned shards.
 
-        Returns ``(lengths, ids)``: per-probe posting counts plus the
-        concatenated posting ids in probe order — the worker-local half of
-        the scatter-merge that ``probe_batch_routed`` performs globally.
+        Probe ``k`` is resolved in repetition ``repetitions[k]`` (the
+        column may mix repetitions freely: a whole generation wave travels
+        as one batch).  Returns ``(lengths, ids)``: per-probe posting counts
+        plus the concatenated posting ids in probe order — the worker-local
+        half of the scatter-merge that ``probe_batch_routed`` performs
+        globally, and exactly what one call per repetition would return,
+        concatenated.
+
+        The column arrives from outside the process, so it is checked — its
+        dtype, its length against ``keys``, its values against the index's
+        repetition count — before anything is allocated or any slice opened.
 
         ``deadline`` is an absolute wall-clock epoch; it is checked before
-        any work and again between owned shards, so a spent budget stops
-        the worker working, not just the router waiting.
+        any work and again between (repetition, shard) groups, so a spent
+        budget stops the worker working, not just the router waiting.
         """
         if deadline is not None and time.time() >= deadline:
             raise DeadlineExceededError(
@@ -137,9 +146,20 @@ class ShardWorkerState:
             )
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
         num_probes = keys_arr.size
+        column = np.asarray(repetitions)
+        if column.dtype != REPETITION_DTYPE or column.shape != (num_probes,):
+            raise ValueError(
+                f"repetition column is {column.dtype.name}{list(column.shape)} but "
+                f"{num_probes} keys need {np.dtype(REPETITION_DTYPE).name}[{num_probes}]"
+            )
         empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
             return np.zeros(0, dtype=np.int64), empty
+        if int(column.min()) < 0 or int(column.max()) >= self._repetitions:
+            raise ValueError(
+                f"repetition column spans [{int(column.min())}, {int(column.max())}] "
+                f"but the index has repetitions [0, {self._repetitions})"
+            )
         items = np.ascontiguousarray(probe_items, dtype=np.int64)
         offsets = np.ascontiguousarray(probe_offsets, dtype=np.int64)
         if offsets.size != num_probes + 1:
@@ -148,15 +168,24 @@ class ShardWorkerState:
             )
         probe_starts = offsets[:-1]
         probe_lengths = np.diff(offsets)
-        route = route_keys(self._fences, keys_arr)
+        # One resolution per (repetition, shard) slice the batch touches.
+        group = column.astype(np.int64) * self._num_shards + route_keys(
+            self._fences, keys_arr
+        )
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        edges = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), num_probes]
+        per_probe = np.zeros(num_probes, dtype=np.int64)
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for shard in np.unique(route).tolist():
+        for first, last in zip(edges, edges[1:]):
+            repetition, shard = divmod(int(group[first]), self._num_shards)
             if deadline is not None and time.time() >= deadline:
                 raise DeadlineExceededError(
-                    f"request deadline expired mid-probe (before shard {shard})"
+                    "request deadline expired mid-probe (before repetition "
+                    f"{repetition}, shard {shard})"
                 )
-            members = np.flatnonzero(route == shard)
-            part = self._slice(shard=int(shard), repetition=repetition)
+            members = order[first:last]
+            part = self._slice(repetition, shard)
             slots, lengths = probe_sorted_arrays(
                 keys_arr[members],
                 items,
@@ -171,10 +200,8 @@ class ShardWorkerState:
             gathered = _segment_gather(
                 part.posting_ids, part.posting_offsets[slots], lengths
             ).astype(np.int64, copy=False)
-            parts.append((members, lengths, gathered))
-        per_probe = np.zeros(num_probes, dtype=np.int64)
-        for members, lengths, _gathered in parts:
             per_probe[members] = lengths
+            parts.append((members, lengths, gathered))
         out_offsets = np.zeros(num_probes + 1, dtype=np.int64)
         np.cumsum(per_probe, out=out_offsets[1:])
         total = int(out_offsets[-1])
@@ -225,6 +252,7 @@ class ShardWorkerState:
             "num_shards": self._num_shards,
             "repetitions": self._repetitions,
             "pid": os.getpid(),
+            "protocol": protocol.PROTOCOL_VERSION,
         }
 
     # ------------------------------------------------------------------ #
@@ -243,9 +271,25 @@ class ShardWorkerState:
             meta, arrays = protocol.decode_message(payload)
             kind = str(meta.get("kind", "unknown"))
             if kind == protocol.MESSAGE_PROBE:
+                if "repetitions" not in arrays:
+                    found = (
+                        "a version 1 frame (one repetition, in the header)"
+                        if "repetition" in meta
+                        else "no repetition column"
+                    )
+                    return (
+                        protocol.encode_error(
+                            kind,
+                            f"this worker speaks probe schema version "
+                            f"{protocol.PROTOCOL_VERSION} (a per-probe repetitions "
+                            f"column) but received {found}; upgrade the router",
+                            code=protocol.ERROR_CODE_PROTOCOL_VERSION,
+                        ),
+                        False,
+                    )
                 raw_deadline = meta.get("deadline")
                 lengths, ids = self.probe(
-                    int(meta["repetition"]),
+                    arrays["repetitions"],
                     arrays["keys"],
                     arrays["probe_items"],
                     arrays["probe_offsets"],

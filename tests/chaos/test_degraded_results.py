@@ -3,8 +3,9 @@
 The ``allow_partial`` contract: with worker 0 down, a degraded fan-out
 returns exactly the full results restricted to the live shards — no
 more, no less — annotated with the missing shards and the completeness
-ratio.  Strict requests keep failing, but with the breaker's actual
-backoff as the retry hint.
+ratio.  The unit is the fan-out: one carries a whole wave of repetitions,
+and a dropped worker drops out of all of them together.  Strict requests
+keep failing, but with the breaker's actual backoff as the retry hint.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.dtypes import REPETITION_DTYPE
 from repro.core.paths import paths_to_csr
 from repro.dist import shard_router_of
 from repro.dist.breaker import STATE_OPEN
@@ -22,12 +24,21 @@ NUM_SHARDS = 4
 
 
 def _probe_plan(chaos_mmap, queries):
-    """Real (paths, keys) probe traffic, derived from the engine's filters."""
-    paths = []
-    for query in queries:
-        paths.extend(chaos_mmap._engine.query_filters(query, 0))
+    """Real probe traffic of a whole wave: every repetition's filters.
+
+    Returns ``(column, paths, keys)`` — the engine's filters of ``queries``
+    in each of the index's three repetitions, with the repetition column a
+    wave-fused fan-out ships them under.
+    """
+    engine = chaos_mmap._engine
+    paths, column = [], []
+    for repetition in range(engine.repetitions):
+        for query in queries:
+            found = engine.query_filters(query, repetition)
+            paths.extend(found)
+            column.extend([repetition] * len(found))
     keys = np.asarray([fold_path(path) for path in paths], dtype=np.uint64)
-    return paths, keys
+    return np.asarray(column, dtype=REPETITION_DTYPE), paths, keys
 
 
 def test_degraded_probes_are_full_probes_restricted_to_live_shards(
@@ -35,23 +46,27 @@ def test_degraded_probes_are_full_probes_restricted_to_live_shards(
 ):
     healthy = shard_router_of(routed_loader())
     degraded = shard_router_of(routed_loader("drop:worker=0"))
-    paths, keys = _probe_plan(chaos_mmap, chaos_index.queries[:8])
+    column, paths, keys = _probe_plan(chaos_mmap, chaos_index.queries[:8])
+    assert set(column.tolist()) == {0, 1, 2}
 
     probe_items, probe_offsets = paths_to_csr(paths)
     full_ids, full_offsets, route = healthy.probe_batch_routed(
-        0, probe_items, probe_offsets, keys
+        column, probe_items, probe_offsets, keys
     )
     degraded.set_request_scope(allow_partial=True)
     try:
         ids, offsets, degraded_route = degraded.probe_batch_routed(
-            0, probe_items, probe_offsets, keys
+            column, probe_items, probe_offsets, keys
         )
     finally:
         degraded.clear_request_scope()
 
     assert np.array_equal(degraded_route, route)
     dead = degraded._shard_to_worker[route] == 0
-    assert dead.any() and (~dead).any()  # the plan spans both workers
+    # The plan spans both workers in every repetition: the dropped worker's
+    # probes go missing for the whole wave, not for one repetition of it.
+    for repetition in range(3):
+        assert dead[column == repetition].any() and (~dead[column == repetition]).any()
     lengths = np.diff(offsets)
     full_lengths = np.diff(full_offsets)
     # Dead-worker probes answer zero postings; live probes answer exactly

@@ -164,6 +164,30 @@ class TestQuery:
         assert stats.unique_candidates <= stats.candidates_examined
 
 
+def _probe_crafted_chunk(engine, filters):
+    """Repetition 0's chunk probe over hand-made filters: streams and counters."""
+    from repro.core.engine import _WaveProbes
+    from repro.core.stats import BatchQueryStats, QueryStats
+
+    class CraftedWaves:
+        """Stands in for the generator: one wave of one repetition."""
+
+        seconds = 0.0
+        end = 1
+
+        def filters(self, repetition, live):
+            return filters
+
+    live = list(range(len(filters)))
+    chunk_stats = BatchQueryStats(per_query=[QueryStats() for _ in live])
+    probes = _WaveProbes(engine, CraftedWaves(), None, exhaustive=False)
+    occurrence_ids, query_offsets = probes.chunk(0, live, chunk_stats)
+    streams = [
+        occurrence_ids[query_offsets[k] : query_offsets[k + 1]].tolist() for k in live
+    ]
+    return streams, chunk_stats
+
+
 class TestChunkProbeDedupe:
     def test_chunk_probe_dedupe_is_collision_free(self, small_dataset):
         """Batched probe deduplication must be by *path*: two queries whose
@@ -184,15 +208,12 @@ class TestChunkProbeDedupe:
                 PathGenerationResult(paths=[(3, 4)], truncated=False, expansions=1, keys=[777]),
             ]
         )
-        probe = engine._probe_chunk_repetition(inverted, filters)
-        assert probe is not None
-        occurrence_ids, query_offsets, distinct, duplicate, _shards, _query_shards = probe
-        first = occurrence_ids[query_offsets[0] : query_offsets[1]].tolist()
-        second = occurrence_ids[query_offsets[1] : query_offsets[2]].tolist()
+        engine._indexes[0] = inverted
+        (first, second), chunk_stats = _probe_crafted_chunk(engine, filters)
         assert first == [0]
         assert second == []  # colliding key, different path: no foreign postings
-        assert distinct == 2
-        assert duplicate == 0
+        assert chunk_stats.distinct_filter_probes == 2
+        assert chunk_stats.duplicate_filter_probes == 0
 
 
     @pytest.mark.parametrize("mode", ["ram", "mmap", "inproc"])
@@ -239,19 +260,15 @@ class TestChunkProbeDedupe:
             ]
         )
         try:
-            probe = engine._probe_chunk_repetition(engine.filter_indexes[0], filters)
+            streams, chunk_stats = _probe_crafted_chunk(engine, filters)
         finally:
             if router is not None:
                 router.close()
-        assert probe is not None
-        occurrence_ids, query_offsets, distinct, duplicate, _shards, query_shards = probe
-        streams = [
-            occurrence_ids[query_offsets[k] : query_offsets[k + 1]].tolist() for k in range(3)
-        ]
         assert streams == [[0, 2], [1, 0], []]
-        assert (distinct, duplicate) == (4, 1)
+        assert chunk_stats.distinct_filter_probes == 4
+        assert chunk_stats.duplicate_filter_probes == 1
         expected_shards = [1, 1, 1] if mode == "ram" else [2, 1, 1]
-        assert query_shards.tolist() == expected_shards
+        assert [entry.shards_probed for entry in chunk_stats.per_query] == expected_shards
 
 
 class TestQueryFiltersAndCandidates:

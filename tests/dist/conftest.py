@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from repro import SkewAdaptiveIndex, load_index, save_index
 from repro.core.config import PersistenceConfig, SkewAdaptiveIndexConfig
+from repro.core.dtypes import REPETITION_DTYPE
+from repro.core.paths import paths_to_csr
 from repro.dist import (
     ShardServer,
     ShardWorkerState,
@@ -26,6 +29,7 @@ from repro.dist import (
     shard_router_of,
     worker_shard_ranges,
 )
+from repro.hashing.pairwise import fold_path
 from repro.testing import rng_for
 
 #: Shard count the fixture index is saved with (enough for a 2-worker split).
@@ -59,6 +63,32 @@ def dist_index(tmp_path_factory, skewed_distribution, skewed_dataset) -> DistInd
     # Mix in stored vectors so a good fraction of queries actually match.
     queries.extend(skewed_dataset[:16])
     return DistIndex(path=path, dataset=skewed_dataset, queries=queries)
+
+
+@pytest.fixture(scope="session")
+def probe_wave():
+    """Real probe traffic for a multi-repetition fan-out, as one batch.
+
+    ``probe_wave(index, queries, plan)`` returns ``(column, probe_items,
+    probe_offsets, keys)``: for each ``(probed_in, filters_of)`` pair of
+    ``plan``, the engine's filters of ``queries`` in repetition
+    ``filters_of``, probed in repetition ``probed_in``.
+    """
+
+    def build(index, queries, plan):
+        paths, column = [], []
+        for probed_in, filters_of in plan:
+            found = [
+                path
+                for query in queries
+                for path in index._engine.query_filters(query, filters_of)
+            ]
+            paths += found
+            column += [probed_in] * len(found)
+        keys = np.asarray([fold_path(path) for path in paths], dtype=np.uint64)
+        return (np.asarray(column, dtype=REPETITION_DTYPE), *paths_to_csr(paths), keys)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
-"""Failure semantics: dead workers, bounded respawn, the 503 surface."""
+"""Failure semantics: dead workers, bounded respawn, the 503 surface, and
+hostile or out-of-date probe frames."""
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -10,10 +12,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.dtypes import REPETITION_DTYPE
 from repro.dist import (
+    InprocTransport,
+    ShardTransport,
     ShardUnavailableError,
+    ShardWorkerState,
     SpawnTransport,
     load_routed_index,
+    protocol,
     shard_router_of,
     worker_shard_ranges,
 )
@@ -139,3 +146,123 @@ def test_dead_shard_worker_surfaces_as_503_with_retry_after(dist_index):
             await service.close()
 
     asyncio.run(scenario())
+
+
+# --------------------------------------------------------------------- #
+# The probe schema: versioned, and its one new field distrusted
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def worker_state(dist_index):
+    return ShardWorkerState(dist_index.path, worker_shard_ranges(NUM_SHARDS, 1)[0])
+
+
+def _probe_frame(repetitions):
+    """A well-formed two-probe request frame around a chosen column."""
+    return protocol.encode_message(
+        {"kind": protocol.MESSAGE_PROBE},
+        {
+            "repetitions": np.asarray(repetitions),
+            "keys": np.arange(2, dtype=np.uint64),
+            "probe_items": np.arange(2, dtype=np.int64),
+            "probe_offsets": np.arange(3, dtype=np.int64),
+        },
+    )
+
+
+def _error_of(state, frame):
+    """The worker's answer to ``frame``: it must be an error, with no work done."""
+    response, shutdown = state.handle_frame(frame)
+    meta, arrays = protocol.decode_message(response)
+    assert meta["status"] == protocol.STATUS_ERROR and not arrays and not shutdown
+    assert state._slices == {}  # refused before any slice was opened
+    return meta
+
+
+def test_worker_answers_a_well_formed_column(worker_state):
+    response, _shutdown = worker_state.handle_frame(
+        _probe_frame(np.array([0, 2], dtype=REPETITION_DTYPE))
+    )
+    meta, arrays = protocol.decode_message(response)
+    assert meta["status"] == protocol.STATUS_OK
+    assert arrays["lengths"].tolist() == [0, 0]
+
+
+def test_worker_rejects_repetition_column_of_wrong_length(worker_state):
+    meta = _error_of(worker_state, _probe_frame(np.zeros(3, dtype=REPETITION_DTYPE)))
+    assert "2 keys need int32[2]" in meta["error"]
+
+
+def test_worker_rejects_repetition_column_of_wrong_dtype(worker_state):
+    meta = _error_of(worker_state, _probe_frame(np.zeros(2, dtype=np.int64)))
+    assert "repetition column is int64[2]" in meta["error"]
+
+
+@pytest.mark.parametrize("value", [-1, 3, 2**31 - 1])
+def test_worker_rejects_repetition_out_of_range(worker_state, value):
+    meta = _error_of(worker_state, _probe_frame(np.array([0, value], dtype=REPETITION_DTYPE)))
+    assert "the index has repetitions [0, 3)" in meta["error"]
+
+
+def test_declared_but_absent_repetition_column_is_refused_undecoded(worker_state):
+    frame = _probe_frame(np.zeros(2, dtype=REPETITION_DTYPE))
+    _magic, header_len = protocol._PREFIX.unpack_from(frame)
+    data_start = protocol._PREFIX.size + header_len
+    header = json.loads(frame[protocol._PREFIX.size : data_start])
+    # The header promises a gigabyte of column; the bytes never arrive.
+    header["arrays"]["repetitions"]["shape"] = [1 << 28]
+    raw = json.dumps(header).encode("utf-8")
+    hostile = protocol._PREFIX.pack(protocol._MAGIC, len(raw)) + raw + frame[data_start:]
+    meta = _error_of(worker_state, hostile)
+    assert "ProtocolError" in meta["error"]
+
+
+def test_worker_answers_a_version_1_probe_frame_with_a_coded_error(worker_state):
+    legacy = protocol.encode_message(
+        {"kind": protocol.MESSAGE_PROBE, "repetition": 0},
+        {
+            "keys": np.arange(2, dtype=np.uint64),
+            "probe_items": np.arange(2, dtype=np.int64),
+            "probe_offsets": np.arange(3, dtype=np.int64),
+        },
+    )
+    meta = _error_of(worker_state, legacy)
+    assert meta["code"] == protocol.ERROR_CODE_PROTOCOL_VERSION
+    assert "version 1 frame" in meta["error"] and "KeyError" not in meta["error"]
+    assert f"version {protocol.PROTOCOL_VERSION}" in meta["error"]
+
+
+def test_describe_reports_the_probe_schema_version(worker_state):
+    assert worker_state.describe()["protocol"] == protocol.PROTOCOL_VERSION == 2
+
+
+@pytest.mark.parametrize("reported", [None, 1])
+@pytest.mark.parametrize("transport", ["inproc", "spawn", "socket"])
+def test_loader_refuses_a_worker_speaking_an_older_schema(
+    dist_index, shard_servers, monkeypatch, transport, reported
+):
+    def describe_as_old_build(describe):
+        def describe_old(self, worker):
+            info = dict(describe(self, worker))
+            del info["protocol"]
+            if reported is not None:
+                info["protocol"] = reported
+            return info
+
+        return describe_old
+
+    # Every transport's describe() answers like a worker built before the
+    # column schema; the loader must refuse before a probe is ever sent.
+    for owner in (ShardTransport, InprocTransport):
+        monkeypatch.setattr(owner, "describe", describe_as_old_build(owner.describe))
+    with pytest.raises(protocol.ProtocolVersionError) as excinfo:
+        load_routed_index(
+            dist_index.path,
+            transport=transport,
+            shard_procs=NUM_WORKERS,
+            shard_addrs=shard_servers if transport == "socket" else None,
+        )
+    message = str(excinfo.value)
+    assert f"version {protocol.PROTOCOL_VERSION}" in message
+    assert ("version 1" in message) and isinstance(excinfo.value, protocol.ProtocolError)

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.dtypes import REPETITION_DTYPE
 from repro.dist import protocol
 
 
@@ -41,8 +42,18 @@ def test_probe_request_and_response_round_trip():
         protocol.encode_probe_request(1, keys, items, offsets)
     )
     assert meta["kind"] == protocol.MESSAGE_PROBE
-    assert meta["repetition"] == 1
+    # One schema: an int repetition is broadcast to the per-probe column,
+    # and no scalar survives in the header.
+    assert "repetition" not in meta
+    assert arrays["repetitions"].dtype == REPETITION_DTYPE
+    assert arrays["repetitions"].tolist() == [1, 1]
     assert np.array_equal(arrays["keys"], keys)
+
+    column = np.array([2, 0], dtype=REPETITION_DTYPE)
+    _meta, arrays = protocol.decode_message(
+        protocol.encode_probe_request(column, keys, items, offsets)
+    )
+    assert np.array_equal(arrays["repetitions"], column)
 
     lengths = np.array([2, 0], dtype=np.int64)
     ids = np.array([4, 5], dtype=np.int64)

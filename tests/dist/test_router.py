@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.inverted_index import _segment_gather
 from repro.core.mmap_store import MmapReadOnlyError
 from repro.core.paths import paths_to_csr
 from repro.core.stats import BatchQueryStats, ShardFanoutStats
@@ -140,6 +141,96 @@ def test_take_fanout_stats_drains_pending_delta(inproc_index):
     assert sum(entry["requests"] for entry in snapshot["per_worker"]) >= (
         taken.total_requests
     )
+
+
+# --------------------------------------------------------------------- #
+# One fan-out, many repetitions
+# --------------------------------------------------------------------- #
+
+
+def _per_repetition_calls_concatenated(stores, column, probe_items, probe_offsets, keys):
+    """``(ids, offsets, route)`` of one single-process probe per repetition."""
+    lengths = np.diff(probe_offsets)
+    parts = []
+    for repetition in np.unique(column).tolist():
+        members = np.flatnonzero(column == repetition)
+        sub_offsets = np.zeros(members.size + 1, dtype=np.int64)
+        np.cumsum(lengths[members], out=sub_offsets[1:])
+        parts.append(
+            stores[repetition].probe_batch_routed(
+                _segment_gather(probe_items, probe_offsets[members], lengths[members]),
+                sub_offsets,
+                keys[members],
+            )
+        )
+    ids = np.concatenate([part_ids for part_ids, _offsets, _route in parts])
+    counts = np.concatenate([np.diff(offsets) for _ids, offsets, _route in parts])
+    route = np.concatenate([part_route for _ids, _offsets, part_route in parts])
+    return ids, np.concatenate(([0], np.cumsum(counts))), route
+
+
+def test_multi_repetition_probe_equals_per_repetition_calls_concatenated(
+    mmap_index, routed_index, dist_index, probe_wave
+):
+    router = shard_router_of(routed_index)
+    stores = mmap_index._engine.filter_indexes
+    # Repetition 1 contributes no probe at all, repetition 0's filters are
+    # probed again in repetition 2 (the same keys under two repetitions), and
+    # the column is repetition-major so "concatenated" is literal.
+    plan = probe_wave(mmap_index, dist_index.queries[:10], [(0, 0), (2, 2), (2, 0)])
+    column, probe_items, probe_offsets, keys = plan
+    assert set(column.tolist()) == {0, 2}
+    assert np.isin(keys[column == 0], keys[column == 2]).all()  # keys repeat
+
+    router.take_fanout_stats()
+    ids, offsets, route = router.probe_batch_routed(*plan)
+    expected_ids, expected_offsets, expected_route = _per_repetition_calls_concatenated(
+        stores, *plan
+    )
+    assert np.array_equal(ids, expected_ids) and ids.size
+    assert np.array_equal(offsets, expected_offsets)
+    assert np.array_equal(route, expected_route)
+    # Both workers answered, each with one frame for both repetitions.
+    assert router.take_fanout_stats().requests == [1] * router.num_workers
+
+    # An int is the column broadcast: today's per-repetition callers.
+    first = column == 0
+    single = _per_repetition_calls_concatenated(
+        stores, column[first], probe_items, probe_offsets[: first.sum() + 1], keys[first]
+    )
+    for actual, expected in zip(
+        router.probe_batch_routed(
+            0, probe_items, probe_offsets[: first.sum() + 1], keys[first]
+        ),
+        single,
+    ):
+        assert np.array_equal(actual, expected)
+
+
+def test_multi_repetition_probe_touching_one_worker_sends_one_frame(
+    mmap_index, routed_index, dist_index, probe_wave
+):
+    router = shard_router_of(routed_index)
+    column, probe_items, probe_offsets, keys = probe_wave(
+        mmap_index, dist_index.queries[:10], [(0, 0), (1, 1), (2, 2)]
+    )
+    # Keep the probes whose keys the last worker owns (the top key range).
+    owned = np.flatnonzero(keys >= router.fences[-1])
+    assert set(column[owned].tolist()) == {0, 1, 2}
+    lengths = np.diff(probe_offsets)[owned]
+    plan = (
+        column[owned],
+        _segment_gather(probe_items, probe_offsets[owned], lengths),
+        np.concatenate(([0], np.cumsum(lengths))),
+        keys[owned],
+    )
+    router.take_fanout_stats()
+    result = router.probe_batch_routed(*plan)
+    expected = _per_repetition_calls_concatenated(mmap_index._engine.filter_indexes, *plan)
+    for actual, wanted in zip(result, expected):
+        assert np.array_equal(actual, wanted)
+    requests = router.take_fanout_stats().requests
+    assert requests[-1] == 1 and sum(requests) == 1
 
 
 # --------------------------------------------------------------------- #

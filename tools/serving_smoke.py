@@ -17,6 +17,11 @@ the smoke additionally asserts the per-shard surface:
 
 * ``/stats`` carries a ``shards`` entry with exactly N workers, all alive,
   and a positive total request count after the burst;
+* probes are wave-fused: at most one fan-out frame per worker per engine
+  call (16 clients coalesce into batches of at most 16 queries, which at
+  the smoke index's 4 repetitions is one generation wave, hence one
+  fan-out — per-repetition probing sends a second frame for every batch
+  holding a query that misses repetition 0);
 * ``/metrics`` exposes the ``repro_shard_*`` families.
 
 With ``--fault-spec SPEC`` (requires ``--shard-procs``) the smoke becomes a
@@ -251,6 +256,11 @@ def main(argv: list[str]) -> int:
             assert all(entry["alive"] for entry in per_worker), per_worker
             shard_requests = sum(entry["requests"] for entry in per_worker)
             assert shard_requests > 0, per_worker
+            assert shard_requests <= shard_procs * engine_calls, (
+                f"{shard_requests} fan-out frames for {engine_calls} engine calls on "
+                f"{shard_procs} workers: more than one fan-out per call, so probes "
+                "are not wave-fused"
+            )
             assert shards["transport"] == "spawn", shards
             shard_note = (
                 f", {shard_procs} shard workers alive "
