@@ -88,11 +88,10 @@ class BruteForceIndex:
         queries: Sequence[SetLike],
         mode: str = "best",
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
     ) -> tuple[list[int | None], BatchQueryStats]:
         """Batched queries (loop-based executor with query deduplication)."""
-        del batch_size, max_workers
+        del batch_size
         return run_loop_batch(
             lambda query_set: self.query(query_set, mode=mode), queries, deduplicate
         )
@@ -101,11 +100,10 @@ class BruteForceIndex:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
     ) -> tuple[list[set[int]], BatchQueryStats]:
         """Batched candidate enumeration (every stored id, per query)."""
-        del batch_size, max_workers
+        del batch_size
         return run_loop_batch(self.query_candidates, queries, deduplicate)
 
     def get_vector(self, vector_id: int) -> frozenset[int]:

@@ -21,15 +21,12 @@ product stopping rule and ``collect_at_max_depth=True``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.core.engine import FilterEngine
-from repro.core.stats import BatchQueryStats, BuildStats, QueryStats
+from repro.core.engine_index import EngineBackedIndex
 from repro.core.thresholds import ConstantThreshold
-
-SetLike = Iterable[int]
 
 
 def chosen_path_depth(num_vectors: int, b2: float) -> int:
@@ -41,7 +38,7 @@ def chosen_path_depth(num_vectors: int, b2: float) -> int:
     return max(1, int(math.ceil(math.log(num_vectors) / math.log(1.0 / b2))))
 
 
-class ChosenPathIndex:
+class ChosenPathIndex(EngineBackedIndex):
     """Worst-case optimal Chosen Path similarity search (baseline).
 
     Parameters
@@ -85,7 +82,6 @@ class ChosenPathIndex:
         self._repetitions = repetitions
         self._max_paths_per_vector = max_paths_per_vector
         self._seed = int(seed)
-        self._engine: FilterEngine | None = None
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -109,39 +105,7 @@ class ChosenPathIndex:
         """The worst-case exponent ``log(b1)/log(b2)`` of Chosen Path."""
         return math.log(self._b1) / math.log(self._b2)
 
-    @property
-    def num_indexed(self) -> int:
-        return len(self._engine.vectors) if self._engine is not None else 0
-
-    @property
-    def build_stats(self) -> BuildStats:
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.build_stats
-
-    @property
-    def total_stored_filters(self) -> int:
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.total_stored_filters
-
-    # ------------------------------------------------------------------ #
-    # Build / query
-    # ------------------------------------------------------------------ #
-
-    def build(self, collection: Iterable[SetLike]) -> BuildStats:
-        """Index a dataset."""
-        vectors = [frozenset(int(item) for item in members) for members in collection]
-        self._engine = self._create_engine(max(len(vectors), 1))
-        return self._engine.build(vectors)
-
     def _create_engine(self, num_vectors: int) -> FilterEngine:
-        """A fresh, empty engine for a dataset of the given size.
-
-        Exposed so that :mod:`repro.core.serialization` can reconstruct the
-        engine from the saved configuration and restore the saved state
-        directly, without a placeholder build.
-        """
         depth = chosen_path_depth(num_vectors, self._b2)
         # The engine needs per-item probabilities only for its stopping rule,
         # which Chosen Path does not use; pass a uniform placeholder.
@@ -159,129 +123,5 @@ class ChosenPathIndex:
             seed=self._seed,
         )
 
-    def query(self, query: SetLike, mode: str = "first") -> tuple[int | None, QueryStats]:
-        """Return a stored vector with ``B(x, q) >= b1``, or ``None``."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query(query, mode=mode)
-
-    def query_batch(
-        self,
-        queries: Sequence[SetLike],
-        mode: str = "first",
-        batch_size: int | None = None,
-        max_workers: int | None = None,
-        deduplicate: bool = True,
-        shard_workers: int | None = None,
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[int | None], BatchQueryStats]:
-        """Batched queries through the shared vectorised engine subsystem."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_batch(
-            queries,
-            mode=mode,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            shard_workers=shard_workers,
-            allow_partial=allow_partial,
-            deadline=deadline,
-        )
-
-    def query_candidates(self, query: SetLike) -> tuple[set[int], QueryStats]:
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_candidates(query)
-
-    def query_candidates_batch(
-        self,
-        queries: Sequence[SetLike],
-        batch_size: int | None = None,
-        max_workers: int | None = None,
-        deduplicate: bool = True,
-        shard_workers: int | None = None,
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[set[int]], BatchQueryStats]:
-        """Batched candidate enumeration (used by the similarity join)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_candidates_batch(
-            queries,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            shard_workers=shard_workers,
-            allow_partial=allow_partial,
-            deadline=deadline,
-        )
-
-    def query_candidates_arrays_batch(
-        self,
-        queries: Sequence[SetLike],
-        batch_size: int | None = None,
-        max_workers: int | None = None,
-        deduplicate: bool = True,
-        shard_workers: int | None = None,
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[np.ndarray], BatchQueryStats]:
-        """Batched candidate enumeration as sorted id arrays (read-only)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_candidates_arrays_batch(
-            queries,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            shard_workers=shard_workers,
-            allow_partial=allow_partial,
-            deadline=deadline,
-        )
-
-    @property
-    def shard_workers(self) -> int | None:
-        """Default per-probe shard fan-out (mmap-loaded indexes only)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.shard_workers
-
-    @shard_workers.setter
-    def shard_workers(self, workers: int | None) -> None:
-        self._require_built()
-        assert self._engine is not None
-        self._engine.shard_workers = workers
-
-    def get_vector(self, vector_id: int) -> frozenset[int]:
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.vectors[vector_id]
-
-    def insert(self, members: SetLike) -> int:
-        """Insert one vector into the built index and return its id.
-
-        Note that the fixed Chosen Path depth was derived from the dataset
-        size at build time; as with the paper indexes, large growth warrants
-        a rebuild.
-        """
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.insert(members)
-
-    def remove(self, vector_id: int) -> None:
-        """Remove a stored vector by id (it stops appearing in results)."""
-        self._require_built()
-        assert self._engine is not None
-        self._engine.remove(vector_id)
-
-    def _require_built(self) -> None:
-        if self._engine is None:
-            raise RuntimeError("the index has not been built yet; call build() first")
-
-    def __repr__(self) -> str:
-        return (
-            f"ChosenPathIndex(b1={self._b1:g}, b2={self._b2:g}, "
-            f"indexed={self.num_indexed})"
-        )
+    def _describe(self) -> str:
+        return f"b1={self._b1:g}, b2={self._b2:g}"

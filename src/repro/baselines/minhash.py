@@ -194,17 +194,15 @@ class MinHashIndex:
         queries: Sequence[SetLike],
         mode: str = "first",
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
     ) -> tuple[list[int | None], BatchQueryStats]:
         """Batched queries (loop-based executor with query deduplication).
 
-        ``batch_size`` and ``max_workers`` are accepted for interface
-        compatibility with the engine-backed indexes; the banding structure
-        has no filter generation to amortise, so only duplicate queries are
-        deduplicated.
+        ``batch_size`` is accepted for interface compatibility with the
+        engine-backed indexes; the banding structure has no filter
+        generation to amortise, so only duplicate queries are deduplicated.
         """
-        del batch_size, max_workers
+        del batch_size
         return run_loop_batch(
             lambda query_set: self.query(query_set, mode=mode), queries, deduplicate
         )
@@ -213,11 +211,10 @@ class MinHashIndex:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
     ) -> tuple[list[set[int]], BatchQueryStats]:
         """Batched candidate enumeration (loop-based executor)."""
-        del batch_size, max_workers
+        del batch_size
         return run_loop_batch(self.query_candidates, queries, deduplicate)
 
     def get_vector(self, vector_id: int) -> frozenset[int]:

@@ -201,11 +201,10 @@ class PrefixFilterIndex:
         queries: Sequence[SetLike],
         mode: str = "first",
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
     ) -> tuple[list[int | None], BatchQueryStats]:
         """Batched queries (loop-based executor with query deduplication)."""
-        del batch_size, max_workers
+        del batch_size
         return run_loop_batch(
             lambda query_set: self.query(query_set, mode=mode), queries, deduplicate
         )
@@ -214,11 +213,10 @@ class PrefixFilterIndex:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
     ) -> tuple[list[set[int]], BatchQueryStats]:
         """Batched candidate enumeration (loop-based executor)."""
-        del batch_size, max_workers
+        del batch_size
         return run_loop_batch(self.query_candidates, queries, deduplicate)
 
     def get_vector(self, vector_id: int) -> frozenset[int]:

@@ -17,11 +17,9 @@ Python (``docs/cli.md`` is the full flag-by-flag reference and CI snapshot):
   ``--load-mode mmap`` serves the queries from lazily mapped shards instead
   of loading the index into RAM).
 * ``repro query-batch`` — the same workload through the batched execution
-  engine: vectorised filter generation, probe deduplication across the
-  batch and optional worker-pool fan-out, with throughput and per-phase
-  (generation / merge / verification) timing reporting; also honours
-  ``--candidates-only``, ``--load-mode`` and ``--shard-workers`` (per-probe
-  shard fan-out on mmap-loaded indexes).
+  engine: vectorised filter generation and probe deduplication across the
+  batch, with throughput and per-phase (generation / merge / verification)
+  timing reporting; also honours ``--candidates-only`` and ``--load-mode``.
 * ``repro convert`` — rewrite a saved index in another format: v1/v2 → v3
   upgrades by default, ``--format 2`` downgrades a v3 directory to the
   legacy single-file container;
@@ -260,9 +258,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from repro.evaluation.reporting import format_table
 
     try:
-        index = load_index(
-            args.index, mode=args.load_mode, shard_workers=args.shard_workers
-        )
+        index = load_index(args.index, mode=args.load_mode)
     except (ValueError, OSError) as error:
         print(f"cannot load {args.index}: {error}")
         return 2
@@ -327,8 +323,6 @@ def _cmd_query_batch(args: argparse.Namespace) -> int:
 
     config = BatchQueryConfig(
         batch_size=args.batch_size if args.batch_size is not None else DEFAULT_BATCH_SIZE,
-        max_workers=args.workers,
-        shard_workers=args.shard_workers,
         allow_partial=args.allow_partial,
     )
     try:
@@ -402,7 +396,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 name=args.name,
                 path=str(args.index),
                 load_mode=args.load_mode,
-                shard_workers=args.shard_workers,
                 shard_procs=args.shard_procs,
                 shard_addrs=tuple(args.shard_addr) if args.shard_addr else None,
                 fault_spec=args.fault_spec,
@@ -418,7 +411,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     name=name,
                     path=path,
                     load_mode=args.load_mode,
-                    shard_workers=args.shard_workers,
                     shard_procs=args.shard_procs,
                 )
             )
@@ -724,12 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         "opens lazily mapped shards and pages in only what queries touch",
     )
     query.add_argument(
-        "--shard-workers",
-        type=_positive_int,
-        default=None,
-        help="per-probe shard fan-out on an mmap-loaded index (threads)",
-    )
-    query.add_argument(
         "--candidates-only",
         action="store_true",
         help="enumerate merged candidate sets without verification "
@@ -758,23 +744,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"queries per vectorised execution chunk (default {DEFAULT_BATCH_SIZE})",
     )
     query_batch.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="fan chunks out over a thread pool of this size",
-    )
-    query_batch.add_argument(
         "--load-mode",
         choices=["ram", "mmap"],
         default="ram",
         help="'ram' loads the whole index into memory; 'mmap' (v3 indexes only) "
         "opens lazily mapped shards and pages in only what queries touch",
-    )
-    query_batch.add_argument(
-        "--shard-workers",
-        type=_positive_int,
-        default=None,
-        help="per-probe shard fan-out on an mmap-loaded index (threads)",
     )
     query_batch.add_argument(
         "--allow-partial",
@@ -855,12 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="mmap",
         help="'mmap' (default) opens v3 indexes lazily — the serving "
         "configuration; 'ram' loads everything for maximum throughput",
-    )
-    serve.add_argument(
-        "--shard-workers",
-        type=_positive_int,
-        default=None,
-        help="per-probe shard fan-out on mmap-loaded indexes (threads)",
     )
     serve.add_argument(
         "--shard-procs",

@@ -21,32 +21,18 @@ DEFAULT_BATCH_SIZE = 256
 class BatchQueryConfig:
     """Execution parameters for the batched query subsystem.
 
+    Chunks run one after another on the calling thread; the only fan-out
+    is the shard router's, over worker processes, chosen when the index is
+    opened (:func:`repro.dist.load_routed_index`), not per call.
+
     Attributes
     ----------
     batch_size:
         Number of queries per vectorised execution chunk.  Filter hashing,
         probe deduplication and candidate verification are amortised within
         a chunk.
-    max_workers:
-        When set, independent chunks are fanned out over a
-        ``concurrent.futures`` thread pool of this size.  ``None`` (default)
-        runs chunks serially.
     deduplicate_queries:
         Answer exact duplicate queries in a batch once and copy the result.
-    shard_workers:
-        Per-probe shard fan-out for sharded (mmap-loaded) postings stores:
-        each chunk-repetition probe resolves its touched key-range shards
-        concurrently on a thread pool of this size.  ``None`` (default)
-        resolves shards serially; the knob has no effect on unsharded
-        (RAM-mode) stores.
-    shard_transport / shard_procs:
-        Router-backed execution mode (``repro.dist``): when
-        ``shard_transport`` is set, loaders open the index through a
-        :class:`~repro.dist.router.ShardRouter` using that transport
-        (``"inproc"``, ``"spawn"``, or ``"socket"``) with ``shard_procs``
-        workers.  These are *load-time* knobs consumed by
-        :func:`repro.dist.load_routed_index` and the serving layer — they
-        are not per-call arguments, so :meth:`as_kwargs` excludes them.
     allow_partial:
         Router-backed execution only: serve degraded answers from the
         live shards when a worker's circuit breaker is open, instead of
@@ -57,42 +43,21 @@ class BatchQueryConfig:
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    max_workers: int | None = None
     deduplicate_queries: bool = True
-    shard_workers: int | None = None
-    shard_transport: str | None = None
-    shard_procs: int | None = None
     allow_partial: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {self.max_workers}")
-        if self.shard_workers is not None and self.shard_workers <= 0:
-            raise ValueError(f"shard_workers must be positive, got {self.shard_workers}")
-        if self.shard_transport is not None and self.shard_transport not in (
-            "inproc",
-            "spawn",
-            "socket",
-        ):
-            raise ValueError(
-                "shard_transport must be 'inproc', 'spawn', or 'socket', "
-                f"got {self.shard_transport!r}"
-            )
-        if self.shard_procs is not None and self.shard_procs <= 0:
-            raise ValueError(f"shard_procs must be positive, got {self.shard_procs}")
 
     def as_kwargs(self) -> dict[str, object]:
-        """Keyword arguments accepted by the ``query_batch`` methods."""
+        """Keyword arguments accepted by every index's ``query_batch`` methods."""
         kwargs: dict[str, object] = {
             "batch_size": self.batch_size,
-            "max_workers": self.max_workers,
             "deduplicate": self.deduplicate_queries,
-            "shard_workers": self.shard_workers,
         }
         # Only forwarded when set: non-engine implementations (baselines)
-        # accept the four standard knobs but not the degraded-mode flag.
+        # accept the two standard knobs but not the degraded-mode flag.
         if self.allow_partial:
             kwargs["allow_partial"] = True
         return kwargs
@@ -113,11 +78,8 @@ class PersistenceConfig:
         Number of folded-key-range shards a v3 save splits each postings
         store into.  More shards mean more parallel save/load/probe lanes
         and finer-grained lazy paging; 8 is a good default for typical
-        multi-core hosts.  Ignored by v2.
-    io_workers:
-        Thread-pool width for writing (``save_index``) and reading
-        (``load_index(mode="ram")``) v3 shard files concurrently.  ``None``
-        (default) picks ``min(shards, cpu_count)``.  Ignored by v2.
+        multi-core hosts.  A v3 save and a RAM-mode load write and read the
+        shard files on ``min(shards, cpu_count)`` threads.  Ignored by v2.
     compress:
         Write the v2 array container deflate-compressed (default).  v3 is
         deliberately uncompressed — raw little-endian arrays at page-aligned
@@ -134,7 +96,6 @@ class PersistenceConfig:
 
     format_version: int = 3
     shards: int = 8
-    io_workers: int | None = None
     compress: bool = True
     validate_postings: bool = True
 
@@ -145,8 +106,6 @@ class PersistenceConfig:
             )
         if self.shards <= 0:
             raise ValueError(f"shards must be positive, got {self.shards}")
-        if self.io_workers is not None and self.io_workers <= 0:
-            raise ValueError(f"io_workers must be positive, got {self.io_workers}")
 
 
 @dataclass(frozen=True)

@@ -15,20 +15,18 @@ stay below ``α/1.5``, so candidates are reported at threshold ``α/1.3``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import CorrelatedIndexConfig
 from repro.core.engine import FilterEngine
-from repro.core.stats import BatchQueryStats, BuildStats, QueryStats
+from repro.core.engine_index import EngineBackedIndex
 from repro.core.thresholds import CorrelatedThreshold
 from repro.data.distributions import ItemDistribution
 
-SetLike = Iterable[int]
 
-
-class CorrelatedIndex:
+class CorrelatedIndex(EngineBackedIndex):
     """Skew-adaptive similarity search for α-correlated queries.
 
     Parameters
@@ -58,7 +56,6 @@ class CorrelatedIndex:
             self._distribution = distribution
         else:
             self._distribution = ItemDistribution(np.asarray(distribution, dtype=np.float64))
-        self._engine: FilterEngine | None = None
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -81,39 +78,7 @@ class CorrelatedIndex:
         """The Braun-Blanquet threshold ``α / 1.3`` used to report candidates."""
         return self._config.acceptance_threshold
 
-    @property
-    def build_stats(self) -> BuildStats:
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.build_stats
-
-    @property
-    def num_indexed(self) -> int:
-        return len(self._engine.vectors) if self._engine is not None else 0
-
-    @property
-    def total_stored_filters(self) -> int:
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.total_stored_filters
-
-    # ------------------------------------------------------------------ #
-    # Construction and queries
-    # ------------------------------------------------------------------ #
-
-    def build(self, collection: Iterable[SetLike]) -> BuildStats:
-        """Index a dataset (any iterable of item-id collections)."""
-        vectors = [frozenset(int(item) for item in members) for members in collection]
-        self._engine = self._create_engine(max(len(vectors), 1))
-        return self._engine.build(vectors)
-
     def _create_engine(self, num_vectors: int) -> FilterEngine:
-        """A fresh, empty engine for a dataset of the given size.
-
-        Exposed so that :mod:`repro.core.serialization` can reconstruct the
-        engine from the saved configuration and restore the saved state
-        directly, without a placeholder build.
-        """
         threshold_policy = CorrelatedThreshold(
             probabilities=self._distribution.probabilities,
             alpha=self._config.alpha,
@@ -133,152 +98,11 @@ class CorrelatedIndex:
             seed=self._config.seed,
         )
 
-    def query(self, query: SetLike, mode: str = "first") -> tuple[int | None, QueryStats]:
-        """Return the id of the stored vector the query is correlated with.
-
-        Returns ``None`` when no stored vector reaches similarity
-        ``α / 1.3`` with the query (e.g. the query is not actually correlated
-        with anything in the dataset).
-        """
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query(query, mode=mode)
-
-    def query_batch(
-        self,
-        queries: Sequence[SetLike],
-        mode: str = "first",
-        batch_size: int | None = None,
-        max_workers: int | None = None,
-        deduplicate: bool = True,
-        shard_workers: int | None = None,
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[int | None], BatchQueryStats]:
-        """Answer many queries through the vectorised batch subsystem.
-
-        Results are identical to ``[query(q, mode)[0] for q in queries]``;
-        see :meth:`repro.core.engine.FilterEngine.query_batch`.
-        """
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_batch(
-            queries,
-            mode=mode,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            shard_workers=shard_workers,
-            allow_partial=allow_partial,
-            deadline=deadline,
-        )
-
-    def query_candidates(self, query: SetLike) -> tuple[set[int], QueryStats]:
-        """All candidate ids colliding with the query (used by joins)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_candidates(query)
-
-    def query_candidates_batch(
-        self,
-        queries: Sequence[SetLike],
-        batch_size: int | None = None,
-        max_workers: int | None = None,
-        deduplicate: bool = True,
-        shard_workers: int | None = None,
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[set[int]], BatchQueryStats]:
-        """Batched candidate enumeration (the similarity join's primitive)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_candidates_batch(
-            queries,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            shard_workers=shard_workers,
-            allow_partial=allow_partial,
-            deadline=deadline,
-        )
-
-    def query_candidates_arrays_batch(
-        self,
-        queries: Sequence[SetLike],
-        batch_size: int | None = None,
-        max_workers: int | None = None,
-        deduplicate: bool = True,
-        shard_workers: int | None = None,
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[np.ndarray], BatchQueryStats]:
-        """Batched candidate enumeration as sorted id arrays (read-only)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.query_candidates_arrays_batch(
-            queries,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            shard_workers=shard_workers,
-            allow_partial=allow_partial,
-            deadline=deadline,
-        )
-
-    @property
-    def shard_workers(self) -> int | None:
-        """Default per-probe shard fan-out (mmap-loaded indexes only)."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.shard_workers
-
-    @shard_workers.setter
-    def shard_workers(self, workers: int | None) -> None:
-        self._require_built()
-        assert self._engine is not None
-        self._engine.shard_workers = workers
-
-    def get_vector(self, vector_id: int) -> frozenset[int]:
-        """The stored vector with the given id."""
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.vectors[vector_id]
-
-    def insert(self, members: SetLike) -> int:
-        """Insert one vector into the built index and return its id.
-
-        Suitable for a moderate number of additions; if the dataset grows by
-        a large factor, rebuild so the ``1/n`` stopping rule and the number
-        of repetitions match the new size.
-        """
-        self._require_built()
-        assert self._engine is not None
-        return self._engine.insert(members)
-
-    def remove(self, vector_id: int) -> None:
-        """Remove a stored vector by id (it stops appearing in results)."""
-        self._require_built()
-        assert self._engine is not None
-        self._engine.remove(vector_id)
-
     def threshold_policy(self) -> CorrelatedThreshold:
         """The bound threshold policy (exposed for inspection and ablations)."""
-        self._require_built()
-        assert self._engine is not None
-        policy = self._engine.threshold_policy
+        policy = self._require_built().threshold_policy
         assert isinstance(policy, CorrelatedThreshold)
         return policy
 
-    # ------------------------------------------------------------------ #
-    # Internal helpers
-    # ------------------------------------------------------------------ #
-
-    def _require_built(self) -> None:
-        if self._engine is None:
-            raise RuntimeError("the index has not been built yet; call build() first")
-
-    def __repr__(self) -> str:
-        return (
-            f"CorrelatedIndex(alpha={self._config.alpha:g}, "
-            f"dimension={self._distribution.dimension}, indexed={self.num_indexed})"
-        )
+    def _describe(self) -> str:
+        return f"alpha={self._config.alpha:g}, dimension={self._distribution.dimension}"

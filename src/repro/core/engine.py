@@ -28,15 +28,15 @@ in-memory :class:`~repro.core.inverted_index.InvertedFilterIndex` instances
 format v3 file set, or shard workers behind a router — all serve the same
 probe contract, so every query surface answers bit-identically in any mode;
 :class:`_WaveProbes` is the one place that knows which it is talking to.
-For sharded stores, ``shard_workers`` (an engine-level default, overridable
-per batched call) fans each probe's shard gathers out over a thread pool.
+Execution is serial on the calling thread: chunks run one after another and
+a sharded store resolves its shards in turn; the one fan-out is the shard
+router's, over worker processes.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Sequence
 
@@ -275,19 +275,23 @@ class _WaveProbes:
     Each repetition's probes are deduplicated across the queries first.
     ``seconds`` is the wall time of probing and bookkeeping, generation
     excluded — merge time, even for a fan-out issued when a wave is generated.
+    ``allow_partial`` and ``deadline`` are the request's scope, handed to
+    every router fan-out (in-process stores have no workers to lose).
     """
 
     def __init__(
         self,
         engine: "FilterEngine",
         waves: _FilterWaves,
-        shard_workers: int | None,
         exhaustive: bool,
+        allow_partial: bool = False,
+        deadline: float | None = None,
     ):
         self._waves = waves
         self._indexes = engine._indexes
         self._router = engine._shard_router
-        self._shard_workers = shard_workers
+        self._allow_partial = allow_partial
+        self._deadline = deadline
         #: Where a routed span ends; ``None``: with the generation wave.
         self._span_end = engine.repetitions if exhaustive else None
         #: Repetitions ``[_start, _end)`` are resolved, for the queries ``_live``.
@@ -307,9 +311,7 @@ class _WaveProbes:
         end = repetition + 1
         if self._router is None:
             vector_offsets, items, probe_offsets, keys, slots = sets[0]
-            resolved = self._indexes[repetition].probe_batch_routed(
-                items, probe_offsets, keys, shard_workers=self._shard_workers
-            )
+            resolved = self._indexes[repetition].probe_batch_routed(items, probe_offsets, keys)
             self._resolved = [(vector_offsets, *resolved, slots)]
         else:
             end = self._span_end or self._waves.end
@@ -325,7 +327,12 @@ class _WaveProbes:
             probe_offsets = np.zeros(keys.size + 1, dtype=OFFSET_DTYPE)
             np.cumsum(lengths, out=probe_offsets[1:])
             ids, offsets, route = self._router.probe_batch_routed(
-                column, items, probe_offsets, keys
+                column,
+                items,
+                probe_offsets,
+                keys,
+                allow_partial=self._allow_partial,
+                deadline=self._deadline,
             )
             self._resolved = [
                 (
@@ -511,9 +518,6 @@ class FilterEngine:
         self._max_paths_per_vector = max_paths_per_vector
         self._similarity = similarity if similarity is not None else braun_blanquet
         self._seed = int(seed)
-        # Default per-probe shard fan-out for sharded (mmap) stores; batched
-        # surfaces can override per call.
-        self._shard_workers: int | None = None
         # Shard router behind a router-backed (multi-process) index; set by
         # repro.dist.load_routed_index.  Typed loosely to keep core free of
         # a dist dependency — the engine only drains its fan-out stats.
@@ -600,22 +604,6 @@ class FilterEngine:
     def removed_ids(self) -> frozenset[int]:
         """The currently tombstoned vector ids."""
         return frozenset(self._removed)
-
-    @property
-    def shard_workers(self) -> int | None:
-        """Default per-probe shard fan-out for sharded (mmap-loaded) stores.
-
-        ``None`` resolves shards serially.  Purely an execution-strategy
-        knob — results are identical either way — so it is safe to change
-        on a live engine; it has no effect on unsharded stores.
-        """
-        return self._shard_workers
-
-    @shard_workers.setter
-    def shard_workers(self, workers: int | None) -> None:
-        if workers is not None and workers <= 0:
-            raise ValueError(f"shard_workers must be positive, got {workers}")
-        self._shard_workers = workers
 
     @property
     def shard_router(self) -> Any | None:
@@ -882,7 +870,7 @@ class FilterEngine:
         # ``filters_generated`` still counts only the repetitions the query
         # gets to; the kernel counters count the whole pass.
         waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
-        probes = _WaveProbes(self, waves, self._shard_workers, exhaustive=mode == "best")
+        probes = _WaveProbes(self, waves, exhaustive=mode == "best")
 
         for repetition in range(self._repetitions):
             ids = probes.stream(repetition, stats)
@@ -956,7 +944,7 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
-        probes = _WaveProbes(self, waves, self._shard_workers, exhaustive=True)
+        probes = _WaveProbes(self, waves, exhaustive=True)
         for repetition in range(self._repetitions):
             ids = probes.stream(repetition, stats)
             stats.candidates_examined += int(ids.size)
@@ -981,9 +969,7 @@ class FilterEngine:
         queries: Sequence[SetLike],
         mode: str = "first",
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
-        shard_workers: int | None = None,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[int | None], BatchQueryStats]:
@@ -1006,18 +992,10 @@ class FilterEngine:
             ``"first"`` or ``"best"``; see :meth:`query`.
         batch_size:
             Queries per vectorised execution chunk
-            (default :data:`~repro.core.config.DEFAULT_BATCH_SIZE`).
-        max_workers:
-            When set, independent chunks run on a ``concurrent.futures``
-            thread pool of this size.
+            (default :data:`~repro.core.config.DEFAULT_BATCH_SIZE`); chunks
+            run one after another on the calling thread.
         deduplicate:
             Answer exact duplicate queries once (default True).
-        shard_workers:
-            Per-probe shard fan-out for sharded (mmap-loaded) postings
-            stores: each chunk-repetition probe resolves its touched shards
-            concurrently on a thread pool of this size.  ``None`` uses the
-            engine default (:attr:`shard_workers`); no effect on unsharded
-            stores.
         allow_partial:
             Router-backed mode only: serve from the live shard workers when
             a worker's circuit breaker is open instead of failing the whole
@@ -1028,31 +1006,24 @@ class FilterEngine:
         deadline:
             Absolute wall-clock epoch (``time.time()`` scale) after which
             execution stops with :class:`DeadlineExceededError`; checked
-            between execution chunks and propagated into shard-worker probe
-            frames in router-backed mode.
+            before every execution chunk and propagated into shard-worker
+            probe frames in router-backed mode.
         """
         if mode not in ("first", "best"):
             raise ValueError(f"mode must be 'first' or 'best', got {mode!r}")
-        effective_shard_workers = (
-            shard_workers if shard_workers is not None else self._shard_workers
-        )
         return self._execute_batched(
             queries,
-            lambda chunk: self._query_batch_chunk(chunk, mode, effective_shard_workers),
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            allow_partial=allow_partial,
-            deadline=deadline,
+            lambda chunk: self._query_batch_chunk(chunk, mode, allow_partial, deadline),
+            batch_size,
+            deduplicate,
+            deadline,
         )
 
     def query_candidates_batch(
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
-        shard_workers: int | None = None,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[set[int]], BatchQueryStats]:
@@ -1061,30 +1032,22 @@ class FilterEngine:
         Results are exactly ``[query_candidates(q)[0] for q in queries]``.
         Consumers that can work on arrays directly (the similarity join)
         should prefer :meth:`query_candidates_arrays_batch`, which skips the
-        final set materialisation.  ``shard_workers`` is the per-probe shard
-        fan-out on sharded stores, ``allow_partial``/``deadline`` the
-        degraded-results and budget knobs (see :meth:`query_batch`).
+        final set materialisation.  The parameters are
+        :meth:`query_batch`'s.
         """
-        effective_shard_workers = (
-            shard_workers if shard_workers is not None else self._shard_workers
-        )
         return self._execute_batched(
             queries,
-            lambda chunk: self._query_candidates_chunk(chunk, effective_shard_workers),
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            allow_partial=allow_partial,
-            deadline=deadline,
+            lambda chunk: self._query_candidates_chunk(chunk, allow_partial, deadline),
+            batch_size,
+            deduplicate,
+            deadline,
         )
 
     def query_candidates_arrays_batch(
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        max_workers: int | None = None,
         deduplicate: bool = True,
-        shard_workers: int | None = None,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[np.ndarray], BatchQueryStats]:
@@ -1094,22 +1057,15 @@ class FilterEngine:
         — the CSR merge's native output, handed over without building a
         Python set.  Treat the arrays as read-only (duplicate queries share
         one array).  Results are elementwise equal to
-        ``sorted(query_candidates(q)[0])``.  ``shard_workers`` is the
-        per-probe shard fan-out on sharded stores, ``allow_partial``/
-        ``deadline`` the degraded-results and budget knobs (see
-        :meth:`query_batch`).
+        ``sorted(query_candidates(q)[0])``.  The parameters are
+        :meth:`query_batch`'s.
         """
-        effective_shard_workers = (
-            shard_workers if shard_workers is not None else self._shard_workers
-        )
         return self._execute_batched(
             queries,
-            lambda chunk: self._candidate_arrays_chunk(chunk, effective_shard_workers),
-            batch_size=batch_size,
-            max_workers=max_workers,
-            deduplicate=deduplicate,
-            allow_partial=allow_partial,
-            deadline=deadline,
+            lambda chunk: self._candidate_arrays_chunk(chunk, allow_partial, deadline),
+            batch_size,
+            deduplicate,
+            deadline,
         )
 
     def _execute_batched(
@@ -1117,39 +1073,16 @@ class FilterEngine:
         queries: Sequence[SetLike],
         chunk_runner: Callable[[list[frozenset[int]]], tuple[list[Any], BatchQueryStats]],
         batch_size: int | None,
-        max_workers: int | None,
         deduplicate: bool,
-        allow_partial: bool = False,
-        deadline: float | None = None,
+        deadline: float | None,
     ) -> tuple[list[Any], BatchQueryStats]:
-        """Shared orchestration: dedupe, chunk, (optionally) fan out, merge."""
+        """Shared orchestration: dedupe, run the chunks in turn, merge."""
         start = time.perf_counter()
         usage_before = resource.getrusage(resource.RUSAGE_SELF) if resource else None
         query_sets = [frozenset(int(item) for item in query) for query in queries]
         chunk_size = int(batch_size) if batch_size is not None else DEFAULT_BATCH_SIZE
         if chunk_size <= 0:
             raise ValueError(f"batch_size must be positive, got {chunk_size}")
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if deadline is not None and time.time() >= deadline:
-            raise DeadlineExceededError(
-                f"deadline expired {time.time() - deadline:.3f}s before the "
-                "batch started executing"
-            )
-        if deadline is not None:
-            # Check the budget at every chunk boundary — coarse-grained on
-            # purpose: a chunk is the unit of vectorised work, and stopping
-            # between chunks never leaves partially merged state behind.
-            inner_runner = chunk_runner
-
-            def chunk_runner(  # noqa: E306 - guarded rebind, same contract
-                chunk: list[frozenset[int]],
-            ) -> tuple[list[Any], BatchQueryStats]:
-                if deadline is not None and time.time() >= deadline:
-                    raise DeadlineExceededError(
-                        "deadline expired between execution chunks"
-                    )
-                return inner_runner(chunk)
 
         if deduplicate:
             position_of: dict[frozenset[int], int] = {}
@@ -1166,40 +1099,17 @@ class FilterEngine:
             unique_sets = query_sets
             source = list(range(len(query_sets)))
 
-        chunks = [
-            unique_sets[index : index + chunk_size]
-            for index in range(0, len(unique_sets), chunk_size)
-        ]
-        # Router-backed execution reads the request scope (degraded-results
-        # opt-in + deadline) from the router instance: the scope must be
-        # visible to the chunk threads of this batch, which an engine-side
-        # thread-local could not provide.
-        scoped_router = (
-            self._shard_router
-            if self._shard_router is not None
-            and hasattr(self._shard_router, "set_request_scope")
-            and (allow_partial or deadline is not None)
-            else None
-        )
-        if scoped_router is not None:
-            scoped_router.set_request_scope(allow_partial=allow_partial, deadline=deadline)
-        try:
-            if max_workers and len(chunks) > 1 and self._vectors:
-                # Pre-instantiate lazily-created shared state (hash levels,
-                # the candidate store, compacted postings, the tombstone
-                # mask) so worker threads only ever read it.
-                self._generator.ensure_hash_levels()
-                for inverted in self._indexes:
-                    inverted.compact()
-                self._ensure_candidate_store()
-                self._removed_lookup()
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    outputs = list(pool.map(chunk_runner, chunks))
-            else:
-                outputs = [chunk_runner(chunk) for chunk in chunks]
-        finally:
-            if scoped_router is not None:
-                scoped_router.clear_request_scope()
+        outputs: list[tuple[list[Any], BatchQueryStats]] = []
+        for first in range(0, len(unique_sets), chunk_size):
+            # The budget is checked at every chunk boundary — coarse-grained
+            # on purpose: a chunk is the unit of vectorised work, and stopping
+            # between chunks never leaves partially merged state behind.
+            if deadline is not None and time.time() >= deadline:
+                raise DeadlineExceededError(
+                    f"deadline expired {time.time() - deadline:.3f}s before "
+                    f"execution chunk {first // chunk_size}"
+                )
+            outputs.append(chunk_runner(unique_sets[first : first + chunk_size]))
 
         merged = BatchQueryStats(num_queries=len(query_sets))
         unique_results: list[Any] = []
@@ -1265,7 +1175,8 @@ class FilterEngine:
         self,
         chunk: Sequence[frozenset[int]],
         mode: str,
-        shard_workers: int | None = None,
+        allow_partial: bool = False,
+        deadline: float | None = None,
     ) -> tuple[list[int | None], BatchQueryStats]:
         """Answer one chunk of (already normalised, deduplicated) queries."""
         chunk_stats = BatchQueryStats(
@@ -1284,7 +1195,7 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         waves = _FilterWaves(self._generator, self._threshold_policy, chunk, counters)
-        probes = _WaveProbes(self, waves, shard_workers, exhaustive=mode == "best")
+        probes = _WaveProbes(self, waves, mode == "best", allow_partial, deadline)
 
         for repetition in range(self._repetitions):
             if not active:
@@ -1349,7 +1260,10 @@ class FilterEngine:
         return results, chunk_stats
 
     def _candidate_arrays_chunk(
-        self, chunk: Sequence[frozenset[int]], shard_workers: int | None = None
+        self,
+        chunk: Sequence[frozenset[int]],
+        allow_partial: bool = False,
+        deadline: float | None = None,
     ) -> tuple[list[np.ndarray], BatchQueryStats]:
         """Batched candidate enumeration for one chunk, as sorted id arrays.
 
@@ -1372,7 +1286,7 @@ class FilterEngine:
         impl = get_impl()
         counters = new_counters()
         waves = _FilterWaves(self._generator, self._threshold_policy, chunk, counters)
-        probes = _WaveProbes(self, waves, shard_workers, exhaustive=True)
+        probes = _WaveProbes(self, waves, True, allow_partial, deadline)
 
         for repetition in range(self._repetitions):
             streams = probes.chunk(repetition, active, chunk_stats)
@@ -1409,10 +1323,13 @@ class FilterEngine:
         return results, chunk_stats
 
     def _query_candidates_chunk(
-        self, chunk: Sequence[frozenset[int]], shard_workers: int | None = None
+        self,
+        chunk: Sequence[frozenset[int]],
+        allow_partial: bool = False,
+        deadline: float | None = None,
     ) -> tuple[list[set[int]], BatchQueryStats]:
         """Batched candidate enumeration for one chunk of queries (as sets)."""
-        arrays, chunk_stats = self._candidate_arrays_chunk(chunk, shard_workers)
+        arrays, chunk_stats = self._candidate_arrays_chunk(chunk, allow_partial, deadline)
         return [set(candidates.tolist()) for candidates in arrays], chunk_stats
 
     # ------------------------------------------------------------------ #

@@ -627,13 +627,10 @@ class InvertedFilterIndex:
         self,
         paths: Sequence[Path],
         keys: Sequence[int] | np.ndarray,
-        shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`probe_batch_routed` for tuple paths, without the routes."""
         probe_items, probe_offsets = paths_to_csr(paths)
-        ids, offsets, _route = self.probe_batch_routed(
-            probe_items, probe_offsets, keys, shard_workers
-        )
+        ids, offsets, _route = self.probe_batch_routed(probe_items, probe_offsets, keys)
         return ids, offsets
 
     def probe_batch_routed(
@@ -641,7 +638,6 @@ class InvertedFilterIndex:
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
-        shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve many probes at once; CSR slices of their posting lists.
 
@@ -654,9 +650,6 @@ class InvertedFilterIndex:
             collision cannot surface foreign postings).
         keys:
             The folded key of each probe, as returned by the generators.
-        shard_workers:
-            Accepted for interface parity with the sharded (mmap) store and
-            ignored — the in-memory store has a single probe table.
 
         Returns
         -------

@@ -84,7 +84,6 @@ def similarity_join(
     probes: Sequence[SetLike],
     predicate: SimilarityPredicate,
     batch_size: int | None = None,
-    shard_workers: int | None = None,
     allow_partial: bool = False,
     deadline: float | None = None,
 ) -> JoinResult:
@@ -106,12 +105,6 @@ def similarity_join(
     batch_size:
         Probes per batch (default
         :data:`~repro.core.config.DEFAULT_BATCH_SIZE`).
-    shard_workers:
-        Per-probe shard fan-out forwarded to the index's batched candidate
-        enumeration — on an mmap-loaded (sharded) index each batch probe
-        resolves its touched key-range shards concurrently on a thread pool
-        of this size.  ``None`` (default) resolves shards serially and is
-        also what indexes without sharded storage expect.
     allow_partial:
         Router-backed indexes only: serve the join from live shards when a
         worker's circuit breaker is open instead of failing (degraded
@@ -149,8 +142,6 @@ def similarity_join(
         if chunk_size <= 0:
             raise ValueError(f"batch_size must be positive, got {chunk_size}")
         batch_kwargs: dict[str, Any] = {"batch_size": chunk_size}
-        if shard_workers is not None:
-            batch_kwargs["shard_workers"] = shard_workers
         if allow_partial:
             batch_kwargs["allow_partial"] = True
         if deadline is not None:
@@ -183,7 +174,6 @@ def similarity_self_join(
     predicate: SimilarityPredicate,
     include_self_pairs: bool = False,
     batch_size: int | None = None,
-    shard_workers: int | None = None,
 ) -> JoinResult:
     """Self-join: find all similar pairs inside one collection.
 
@@ -201,12 +191,10 @@ def similarity_self_join(
         Similarity predicate for reported pairs.
     include_self_pairs:
         Report the trivial ``(i, i)`` pairs as well (disabled by default).
-    batch_size / shard_workers:
+    batch_size:
         Forwarded to :func:`similarity_join`.
     """
-    raw = similarity_join(
-        index, collection, predicate, batch_size=batch_size, shard_workers=shard_workers
-    )
+    raw = similarity_join(index, collection, predicate, batch_size=batch_size)
     seen: set[tuple[int, int]] = set()
     deduplicated: list[tuple[int, int, float]] = []
     for probe_index, candidate_id, similarity in raw.pairs:

@@ -15,8 +15,6 @@ Two pieces cooperate:
   searchsorted/CSR-gather resolution against its mapped arrays (the shard
   slices are key-sorted by construction, so the probe table is the arrays
   themselves — nothing is rebuilt, nothing is copied at open time).
-  Optional per-shard fan-out overlaps the gathers of independent shards on
-  a thread pool.
 * :class:`LazyVectorStore` — the stored vectors as a read-only sequence
   over the mapped CSR arrays, materialising a ``frozenset`` only when a
   vector is actually asked for (verification normally runs against the
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence as SequenceABC
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -236,36 +233,6 @@ def concatenate_shard_slices(
     return state, np.ascontiguousarray(keys, dtype=np.uint64)
 
 
-class ShardPoolCache:
-    """Persistent per-width thread pools shared by an index's repetitions.
-
-    Per-probe pool creation would cost more than the gathers it overlaps,
-    and pool-per-repetition would hoard ``repetitions × width`` idle
-    threads; one cache shared across every repetition of a loaded index
-    caps the thread count at the fan-out width actually requested.  Pools
-    are never shut down while the cache lives, so concurrent probes
-    requesting different widths can never race onto a closed executor.
-    """
-
-    def __init__(self) -> None:
-        self._pools: dict[int, ThreadPoolExecutor] = {}
-        self._lock = threading.Lock()
-
-    def get(self, width: int) -> ThreadPoolExecutor:
-        # Double-checked locking: dict reads are atomic under the GIL and
-        # pools are only ever added, so a racy miss just takes the lock.
-        pool = self._pools.get(width)  # repro-lint: disable=RPL002 -- double-checked fast path; re-read under the lock below
-        if pool is None:
-            with self._lock:
-                pool = self._pools.get(width)
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=width, thread_name_prefix="repro-shard"
-                    )
-                    self._pools[width] = pool
-        return pool
-
-
 class ShardedInvertedFilterIndex:
     """Read-only, shard-routed drop-in for :class:`InvertedFilterIndex`.
 
@@ -282,13 +249,6 @@ class ShardedInvertedFilterIndex:
         Per-shard slot and posting counts from the manifest; statistics
         (``num_filters``, ``total_entries``) answer from these without
         paging anything in.
-    shard_workers:
-        Default per-probe shard fan-out; ``None`` resolves shards serially.
-        Callers can override per :meth:`probe_batch` call.
-    pool_cache:
-        Optional :class:`ShardPoolCache` shared with sibling repetitions of
-        the same loaded index (one pool per width instead of one per
-        repetition); a private cache is created when omitted.
     """
 
     is_sharded = True
@@ -299,8 +259,6 @@ class ShardedInvertedFilterIndex:
         opener: Callable[[int], ShardSlice],
         slot_counts: Sequence[int],
         posting_counts: Sequence[int],
-        shard_workers: int | None = None,
-        pool_cache: ShardPoolCache | None = None,
     ) -> None:
         self._fences = np.ascontiguousarray(fences, dtype=np.uint64)
         self._num_shards = self._fences.size + 1
@@ -312,10 +270,8 @@ class ShardedInvertedFilterIndex:
         self._opener = opener
         self._slot_counts = [int(count) for count in slot_counts]
         self._posting_counts = [int(count) for count in posting_counts]
-        self.shard_workers = shard_workers
         self._slices: dict[int, ShardSlice] = {}
         self._lock = threading.Lock()
-        self._pool_cache = pool_cache if pool_cache is not None else ShardPoolCache()
 
     # ------------------------------------------------------------------ #
     # Shard access
@@ -356,10 +312,6 @@ class ShardedInvertedFilterIndex:
                 self._slices[shard] = cached
         return cached
 
-    def _executor(self, workers: int) -> ThreadPoolExecutor:
-        """The persistent fan-out pool for the requested width."""
-        return self._pool_cache.get(min(int(workers), self._num_shards))
-
     # ------------------------------------------------------------------ #
     # Probing (the query hot path)
     # ------------------------------------------------------------------ #
@@ -374,13 +326,10 @@ class ShardedInvertedFilterIndex:
         self,
         paths: Sequence[Path],
         keys: Sequence[int] | np.ndarray,
-        shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`probe_batch_routed` for tuple paths, without the routes."""
         probe_items, probe_offsets = paths_to_csr(paths)
-        ids, offsets, _route = self.probe_batch_routed(
-            probe_items, probe_offsets, keys, shard_workers
-        )
+        ids, offsets, _route = self.probe_batch_routed(probe_items, probe_offsets, keys)
         return ids, offsets
 
     def probe_batch_routed(
@@ -388,7 +337,6 @@ class ShardedInvertedFilterIndex:
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
-        shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve many probes at once; CSR slices of their posting lists.
 
@@ -399,8 +347,7 @@ class ShardedInvertedFilterIndex:
         the unsharded store.  Each probe key is routed to its shard via the
         manifest fences, and the computed ``route`` (shard index per probe)
         is returned so callers can account shard fan-out without re-routing
-        the same keys; with ``shard_workers`` set (or the instance default),
-        independent shards resolve and gather concurrently on a thread pool.
+        the same keys.  Touched shards resolve and gather one after another.
         """
         num_probes = len(probe_offsets) - 1
         empty = np.empty(0, dtype=np.int64)
@@ -431,11 +378,7 @@ class ShardedInvertedFilterIndex:
             ).astype(np.int64, copy=False)
             return members, lengths, gathered
 
-        workers = shard_workers if shard_workers is not None else self.shard_workers
-        if workers is not None and workers > 1 and len(touched) > 1:
-            parts = list(self._executor(workers).map(resolve, touched))
-        else:
-            parts = [resolve(shard) for shard in touched]
+        parts = [resolve(shard) for shard in touched]
 
         per_probe = np.zeros(num_probes, dtype=np.int64)
         for members, lengths, _gathered in parts:

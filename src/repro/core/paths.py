@@ -376,8 +376,8 @@ class PathGenerator:
 
         The per-level hash functions, their coefficient table and the
         log-probability table of the batched path are created lazily; calling
-        this before fanning generation out over worker threads guarantees the
-        shared state is only ever read concurrently.
+        this first keeps their one-off construction out of a timed region
+        and guarantees threads sharing the generator only ever read them.
         """
         self._level_coefficients(self._max_depth - 1)
         self._log_table()

@@ -74,7 +74,6 @@ from repro.core.inverted_index import InvertedFilterIndex, _segment_gather
 from repro.core.mmap_store import (
     LazyVectorStore,
     ShardedInvertedFilterIndex,
-    ShardPoolCache,
     ShardSlice,
     concatenate_shard_slices,
     shard_key_ranges,
@@ -410,9 +409,8 @@ def _align_page(offset: int) -> int:
     return (offset + _V3_PAGE - 1) // _V3_PAGE * _V3_PAGE
 
 
-def _resolve_io_workers(persistence: PersistenceConfig, num_files: int) -> int:
-    if persistence.io_workers is not None:
-        return max(1, min(persistence.io_workers, num_files))
+def _resolve_io_workers(num_files: int) -> int:
+    """Threads that write or read ``num_files`` v3 shard files at once."""
     return max(1, min(num_files, os.cpu_count() or 1))
 
 
@@ -633,7 +631,7 @@ def _save_v3(
     def write_shard(shard: int) -> None:
         _write_raw_container(staging / shard_files[shard], per_shard_arrays[shard])
 
-    workers = _resolve_io_workers(persistence, num_shards)
+    workers = _resolve_io_workers(num_shards)
     if workers > 1 and num_shards > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(write_shard, range(num_shards)))
@@ -972,7 +970,6 @@ def _load_v3(
     path: Path,
     persistence: PersistenceConfig,
     mode: str,
-    shard_workers: int | None,
 ) -> AnyIndex:
     manifest = _read_manifest(path)
     num_shards = int(manifest["num_shards"])
@@ -1026,7 +1023,6 @@ def _load_v3(
     if mode == "mmap":
         vectors: Any = LazyVectorStore(vector_items, store["vector_offsets"])
         cache = _ShardContainerCache(path, shard_files)
-        pool_cache = ShardPoolCache()
         filter_indexes = []
         for repetition in range(repetitions):
             def opener(shard: int, _repetition: int = repetition) -> ShardSlice:
@@ -1047,8 +1043,6 @@ def _load_v3(
                     posting_counts=[
                         int(counts["num_postings"]) for counts in counts_by_rep[repetition]
                     ],
-                    shard_workers=shard_workers,
-                    pool_cache=pool_cache,
                 )
             )
     else:
@@ -1062,7 +1056,7 @@ def _load_v3(
         def read_shard(shard: int) -> dict[str, np.ndarray]:
             return _read_raw_container(path / shard_files[shard], "ram")
 
-        workers = _resolve_io_workers(persistence, num_shards)
+        workers = _resolve_io_workers(num_shards)
         if workers > 1 and num_shards > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 containers = list(pool.map(read_shard, range(num_shards)))
@@ -1102,7 +1096,7 @@ def _load_v3(
             except ValueError as error:
                 raise ValueError(f"{path} repetition {repetition}: {error}") from error
 
-    restored = _restore_engine(
+    return _restore_engine(
         index,
         int(manifest["num_vectors_hint"]),
         vectors,
@@ -1110,10 +1104,6 @@ def _load_v3(
         build_stats,
         filter_indexes,
     )
-    engine = restored._engine  # noqa: SLF001 - friend module
-    assert engine is not None
-    engine.shard_workers = shard_workers
-    return restored
 
 
 def _load_v1(path: Path) -> AnyIndex:
@@ -1160,7 +1150,6 @@ def load_index(
     path: str | Path,
     config: PersistenceConfig | None = None,
     mode: str = "ram",
-    shard_workers: int | None = None,
 ) -> AnyIndex:
     """Load an index previously written by :func:`save_index`.
 
@@ -1177,7 +1166,7 @@ def load_index(
         raises :class:`ValueError` with the offending version.
     config:
         Optional :class:`~repro.core.config.PersistenceConfig` (controls
-        load-time validation and the RAM-mode shard-read thread pool).
+        load-time validation).
     mode:
         ``"ram"`` (default) materialises every array in memory — shard
         files are read concurrently and the stored keys make the load
@@ -1187,16 +1176,13 @@ def load_index(
         probe, and results stay bit-identical to RAM mode on every query
         surface.  An mmap-loaded index is read-only (removals overlay fine;
         inserts raise).
-    shard_workers:
-        Default per-probe shard fan-out installed on the loaded engine
-        (overridable per batched call); mainly useful with ``mode="mmap"``.
     """
     path = Path(path)
     persistence = config if config is not None else PersistenceConfig()
     if mode not in ("ram", "mmap"):
         raise ValueError(f"mode must be 'ram' or 'mmap', got {mode!r}")
     if path.is_dir():
-        return _load_v3(path, persistence, mode, shard_workers)
+        return _load_v3(path, persistence, mode)
     if mode == "mmap":
         raise ValueError(
             f"mode='mmap' requires a format v{FORMAT_VERSION} index directory, but "
@@ -1206,20 +1192,14 @@ def load_index(
     with open(path, "rb") as handle:
         head = handle.read(64)
     if head.startswith(_ZIP_MAGIC):
-        index = _load_v2(path, persistence)
-    elif head.lstrip().startswith(b"{"):
-        index = _load_v1(path)
-    else:
-        raise ValueError(
-            f"{path} is not a recognised index file (expected a format "
-            f"v{FORMAT_VERSION} directory, a v{V2_FORMAT_VERSION} binary container "
-            f"or a legacy v{LEGACY_JSON_VERSION} JSON document)"
-        )
-    if shard_workers is not None:
-        engine = index._engine  # noqa: SLF001 - friend module
-        assert engine is not None
-        engine.shard_workers = shard_workers
-    return index
+        return _load_v2(path, persistence)
+    if head.lstrip().startswith(b"{"):
+        return _load_v1(path)
+    raise ValueError(
+        f"{path} is not a recognised index file (expected a format "
+        f"v{FORMAT_VERSION} directory, a v{V2_FORMAT_VERSION} binary container "
+        f"or a legacy v{LEGACY_JSON_VERSION} JSON document)"
+    )
 
 
 def convert_index_file(

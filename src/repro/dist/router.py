@@ -97,10 +97,6 @@ class ShardRouter:
         # reproducible but the workers never back off in lockstep.
         self._breakers = [CircuitBreaker(seed=worker) for worker in range(workers)]
         self._retries = [0] * workers
-        # Per-request execution scope (degraded mode + deadline), set by
-        # the engine around each batch it executes through this router.
-        self._scope_allow_partial = False
-        self._scope_deadline: float | None = None
         self._pool = (
             ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-router")
             if workers > 1
@@ -128,32 +124,6 @@ class ShardRouter:
     def breakers(self) -> list[CircuitBreaker]:
         """Per-worker circuit breakers (index-aligned with workers)."""
         return self._breakers
-
-    # ------------------------------------------------------------------ #
-    # Request scope (degraded mode + deadline)
-    # ------------------------------------------------------------------ #
-
-    def set_request_scope(
-        self, *, allow_partial: bool = False, deadline: float | None = None
-    ) -> None:
-        """Arm degraded-mode / deadline handling for the next fan-outs.
-
-        The engine sets this around each batch it executes through the
-        router (and clears it in a ``finally``).  It is instance-level
-        rather than thread-local because the engine's chunk *threads*
-        perform the fan-outs — they must all see the scope the batch's
-        submitting thread set.  The serving layer serialises engine calls
-        on a single executor lane, so concurrent batches with different
-        scopes do not occur there; direct multi-threaded engine users
-        should dedicate a routed index per thread.
-        """
-        self._scope_allow_partial = bool(allow_partial)
-        self._scope_deadline = None if deadline is None else float(deadline)
-
-    def clear_request_scope(self) -> None:
-        """Reset the request scope to strict/full-answer semantics."""
-        self._scope_allow_partial = False
-        self._scope_deadline = None
 
     # ------------------------------------------------------------------ #
     # Fan-out accounting
@@ -252,6 +222,9 @@ class ShardRouter:
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
+        *,
+        allow_partial: bool = False,
+        deadline: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Route, fan out, and merge one probe batch in one round of requests.
 
@@ -264,10 +237,16 @@ class ShardRouter:
         :meth:`ShardedInvertedFilterIndex.probe_batch_routed` called once
         per repetition and concatenated, so every stats counter derived
         from the route (``shards_probed``) agrees bit-for-bit across
-        execution modes.  The request scope (deadline, ``allow_partial``),
-        each worker's breaker slot and the failure handling all apply once
-        per fan-out: a worker skipped under ``allow_partial`` answers zero
-        postings for every repetition of the batch.
+        execution modes.
+
+        The request's scope is this call's arguments: ``deadline`` (absolute
+        ``time.time()`` epoch) is checked before each worker's request and
+        forwarded in its frame; with ``allow_partial`` a worker whose breaker
+        is open, or whose request fails, is skipped — its probes answer zero
+        postings and its shards are reported missing — instead of failing
+        the batch.  The scope, each worker's breaker slot and the failure
+        handling all apply once per fan-out, so a skipped worker drops out
+        of every repetition of the batch.
         """
         num_probes = len(probe_offsets) - 1
         empty = np.empty(0, dtype=np.int64)
@@ -280,10 +259,6 @@ class ShardRouter:
         route = route_keys(self._fences, keys_arr)
         worker_route = self._shard_to_worker[route]
         touched = np.unique(worker_route).tolist()
-        # Snapshot the request scope once: the fan-out threads below must
-        # all run under the scope of the batch that submitted them.
-        allow_partial = self._scope_allow_partial
-        deadline = self._scope_deadline
 
         def skip(worker: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             """A degraded part: this worker's probes answer zero postings."""
@@ -406,8 +381,6 @@ class RouterBackedFilterIndex:
     family.  A probe through this view is a fan-out of its own, for one
     repetition — right for lookups and diagnostics; the engine's query
     surfaces resolve whole waves of repetitions through the router itself.
-    ``shard_workers`` arguments are accepted and ignored — the router's
-    fan-out is process-level and always on.
     """
 
     is_sharded = True
@@ -450,13 +423,10 @@ class RouterBackedFilterIndex:
         self,
         paths: Sequence[Path],
         keys: Sequence[int] | np.ndarray,
-        shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`probe_batch_routed` for tuple paths, without the routes."""
         probe_items, probe_offsets = paths_to_csr(paths)
-        ids, offsets, _route = self.probe_batch_routed(
-            probe_items, probe_offsets, keys, shard_workers
-        )
+        ids, offsets, _route = self.probe_batch_routed(probe_items, probe_offsets, keys)
         return ids, offsets
 
     def probe_batch_routed(
@@ -464,10 +434,8 @@ class RouterBackedFilterIndex:
         probe_items: np.ndarray,
         probe_offsets: np.ndarray,
         keys: Sequence[int] | np.ndarray,
-        shard_workers: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve many CSR probes across the shard workers; slices + route."""
-        del shard_workers  # process-level fan-out is the router's own knob
         return self._router.probe_batch_routed(
             self._repetition, probe_items, probe_offsets, keys
         )

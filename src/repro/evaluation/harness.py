@@ -114,7 +114,6 @@ def run_workload(
     method_name: str,
     query_mode: str = "first",
     batch_size: int | None = None,
-    max_workers: int | None = None,
 ) -> ExperimentResult:
     """Build an index over ``dataset`` and run every query of the workload.
 
@@ -135,8 +134,6 @@ def run_workload(
         through the batched subsystem in chunks of this size (the results
         are identical to the per-query loop); the returned result then
         carries the batch statistics.
-    max_workers:
-        Optional worker-pool fan-out for the batched execution.
     """
     index = index_factory()
     build_start = time.perf_counter()
@@ -149,10 +146,7 @@ def run_workload(
     query_start = time.perf_counter()
     if batch_size is not None and hasattr(index, "query_batch"):
         returned, batch_stats = index.query_batch(
-            workload.queries,
-            mode=query_mode,
-            batch_size=batch_size,
-            max_workers=max_workers,
+            workload.queries, mode=query_mode, batch_size=batch_size
         )
         stats = batch_stats.per_query
     else:
@@ -188,14 +182,12 @@ def compare_indexes(
     workload: QueryWorkload,
     query_mode: str = "first",
     batch_size: int | None = None,
-    max_workers: int | None = None,
 ) -> list[ExperimentResult]:
     """Run the same workload against several index factories.
 
     Returns one :class:`ExperimentResult` per method, in the iteration order
-    of the ``factories`` mapping.  ``batch_size`` (and optionally
-    ``max_workers``) route the workload through each index's batched
-    execution path where available.
+    of the ``factories`` mapping.  ``batch_size`` routes the workload
+    through each index's batched execution path where available.
     """
     return [
         run_workload(
@@ -205,7 +197,6 @@ def compare_indexes(
             method_name=name,
             query_mode=query_mode,
             batch_size=batch_size,
-            max_workers=max_workers,
         )
         for name, factory in factories.items()
     ]

@@ -53,14 +53,11 @@ class IndexSpec:
         ``"mmap"`` (default) opens lazily mapped shards — cold start is
         O(manifest) and resident memory tracks what queries touch; ``"ram"``
         materialises the whole index for maximum throughput.
-    shard_workers:
-        Per-probe shard fan-out installed on the loaded engine (mmap mode;
-        ``None`` resolves shards serially).
     shard_procs:
         When set, the index is opened in router-backed multi-process mode
         (``repro.dist.load_routed_index``): this many spawned shard worker
         processes each mmap only their own shard files, and probes fan out
-        over real processes instead of GIL-bound threads.  Requires
+        over real processes.  Requires
         ``load_mode="mmap"`` (the router's own store view is mmap-backed).
     shard_addrs:
         Addresses of pre-started ``repro shard-worker`` servers
@@ -77,7 +74,6 @@ class IndexSpec:
     name: str
     path: str
     load_mode: str = "mmap"
-    shard_workers: int | None = None
     shard_procs: int | None = None
     shard_addrs: tuple[str, ...] | None = None
     fault_spec: str | None = None
@@ -88,10 +84,6 @@ class IndexSpec:
         if self.load_mode not in ("ram", "mmap"):
             raise ValueError(
                 f"load_mode must be 'ram' or 'mmap', got {self.load_mode!r}"
-            )
-        if self.shard_workers is not None and self.shard_workers <= 0:
-            raise ValueError(
-                f"shard_workers must be positive, got {self.shard_workers}"
             )
         if self.shard_procs is not None and self.shard_procs <= 0:
             raise ValueError(

@@ -24,6 +24,7 @@ Request execution guarantees:
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import math
 import time
 from typing import Any, Mapping, Sequence
@@ -104,7 +105,6 @@ class _ServedIndex:
             queries,
             mode=mode,
             batch_size=self.config.max_batch_queries,
-            shard_workers=self.spec.shard_workers,
             allow_partial=allow_partial,
             deadline=deadline,
         )
@@ -125,11 +125,7 @@ class _ServedIndex:
         else:
             from repro.core.serialization import load_index
 
-            index = load_index(
-                self.spec.path,
-                mode=self.spec.load_mode,
-                shard_workers=self.spec.shard_workers,
-            )
+            index = load_index(self.spec.path, mode=self.spec.load_mode)
         self.load_seconds = time.perf_counter() - start
         return index
 
@@ -137,7 +133,6 @@ class _ServedIndex:
         payload: dict[str, Any] = {
             "path": self.spec.path,
             "load_mode": self.spec.load_mode,
-            "shard_workers": self.spec.shard_workers,
             "status": self.status,
             "load_seconds": self.load_seconds,
             "reloads": self.reloads,
@@ -438,7 +433,6 @@ class QueryService:
                 probes,
                 predicate,
                 batch_size=self.config.max_batch_queries,
-                shard_workers=served.spec.shard_workers,
                 allow_partial=allow_partial,
                 deadline=deadline,
             ),
@@ -697,15 +691,7 @@ class QueryService:
             raise ApiError(409, f"index {served.spec.name!r} is already reloading")
         path = payload.get("path")
         if path is not None:
-            served.spec = IndexSpec(
-                name=served.spec.name,
-                path=str(path),
-                load_mode=served.spec.load_mode,
-                shard_workers=served.spec.shard_workers,
-                shard_procs=served.spec.shard_procs,
-                shard_addrs=served.spec.shard_addrs,
-                fault_spec=served.spec.fault_spec,
-            )
+            served.spec = dataclasses.replace(served.spec, path=str(path))
         served.status = "reloading"
         loop = asyncio.get_running_loop()
         try:

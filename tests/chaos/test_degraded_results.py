@@ -53,13 +53,9 @@ def test_degraded_probes_are_full_probes_restricted_to_live_shards(
     full_ids, full_offsets, route = healthy.probe_batch_routed(
         column, probe_items, probe_offsets, keys
     )
-    degraded.set_request_scope(allow_partial=True)
-    try:
-        ids, offsets, degraded_route = degraded.probe_batch_routed(
-            column, probe_items, probe_offsets, keys
-        )
-    finally:
-        degraded.clear_request_scope()
+    ids, offsets, degraded_route = degraded.probe_batch_routed(
+        column, probe_items, probe_offsets, keys, allow_partial=True
+    )
 
     assert np.array_equal(degraded_route, route)
     dead = degraded._shard_to_worker[route] == 0

@@ -3,7 +3,7 @@
 The central contract: ``query_batch`` / ``query_candidates_batch`` return
 exactly what the equivalent single-query loop returns, for every index
 variant, both query modes, and every execution configuration (chunk sizes,
-worker pools, deduplication on/off).
+deduplication on/off).
 """
 
 from __future__ import annotations
@@ -118,12 +118,6 @@ class TestBatchSingleEquivalence:
         results, _stats = index.query_batch(batch_queries, batch_size=batch_size)
         assert results == expected
 
-    def test_worker_pool_never_changes_results(self, built_indexes, batch_queries):
-        index = built_indexes["correlated"]
-        expected = [index.query(query)[0] for query in batch_queries]
-        results, _stats = index.query_batch(batch_queries, batch_size=5, max_workers=4)
-        assert results == expected
-
     def test_deduplicate_off_matches(self, built_indexes, batch_queries):
         index = built_indexes["skew_adaptive"]
         with_dedupe, _ = index.query_batch(batch_queries, deduplicate=True)
@@ -156,8 +150,11 @@ class TestBatchSingleEquivalence:
             built_indexes["skew_adaptive"].query_batch([{1, 2}], batch_size=0)
 
     def test_invalid_max_workers_rejected(self, built_indexes):
-        with pytest.raises(ValueError):
-            built_indexes["skew_adaptive"].query_batch([{1, 2}], max_workers=-1)
+        # Chunks always run serially: the thread-pool knobs are gone, and
+        # passing one is a TypeError rather than a silently ignored option.
+        for knob in ("max_workers", "shard_workers"):
+            with pytest.raises(TypeError, match=knob):
+                built_indexes["skew_adaptive"].query_batch([{1, 2}], **{knob: 2})
 
 
 class TestBatchStatsAccounting:
@@ -187,17 +184,22 @@ class TestBatchStatsAccounting:
         assert stats.verification_seconds >= 0.0
 
     def test_batch_config_kwargs(self):
-        config = BatchQueryConfig(
-            batch_size=32, max_workers=2, deduplicate_queries=False, shard_workers=4
-        )
-        assert config.as_kwargs() == {
-            "batch_size": 32,
-            "max_workers": 2,
-            "deduplicate": False,
-            "shard_workers": 4,
-        }
+        config = BatchQueryConfig(batch_size=32, deduplicate_queries=False)
+        assert config.as_kwargs() == {"batch_size": 32, "deduplicate": False}
+        assert BatchQueryConfig(allow_partial=True).as_kwargs()["allow_partial"] is True
         with pytest.raises(ValueError):
             BatchQueryConfig(batch_size=0)
+
+    @pytest.mark.parametrize("name", INDEX_NAMES)
+    def test_batch_config_kwargs_accepted_by_every_index(
+        self, built_indexes, batch_queries, name
+    ):
+        index = built_indexes[name]
+        kwargs = BatchQueryConfig().as_kwargs()
+        results, _stats = index.query_batch(batch_queries, **kwargs)
+        assert results == index.query_batch(batch_queries)[0]
+        candidates, _cstats = index.query_candidates_batch(batch_queries, **kwargs)
+        assert candidates == index.query_candidates_batch(batch_queries)[0]
 
     def test_run_loop_batch_deduplicates(self):
         calls = []

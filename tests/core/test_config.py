@@ -84,7 +84,6 @@ class TestPersistenceConfig:
         config = PersistenceConfig()
         assert config.format_version == 3
         assert config.shards == 8
-        assert config.io_workers is None
         assert config.compress is True
         assert config.validate_postings is True
 
@@ -101,24 +100,13 @@ class TestPersistenceConfig:
 
         with pytest.raises(ValueError, match="shards"):
             PersistenceConfig(shards=0)
-        with pytest.raises(ValueError, match="io_workers"):
-            PersistenceConfig(io_workers=0)
+        # The shard-file I/O width is derived (min(shards, cpu_count)), not
+        # a setting: the removed field is refused outright.
+        with pytest.raises(TypeError, match="io_workers"):
+            PersistenceConfig(io_workers=2)
 
     def test_v2_downgrade_config_valid(self):
         from repro.core.config import PersistenceConfig
 
         config = PersistenceConfig(format_version=2, compress=False)
         assert config.format_version == 2
-
-
-class TestBatchQueryConfigShardWorkers:
-    def test_shard_workers_default_none(self):
-        from repro.core.config import BatchQueryConfig
-
-        assert BatchQueryConfig().shard_workers is None
-
-    def test_invalid_shard_workers(self):
-        from repro.core.config import BatchQueryConfig
-
-        with pytest.raises(ValueError, match="shard_workers"):
-            BatchQueryConfig(shard_workers=0)

@@ -304,8 +304,8 @@ class TestRepetitionOwnership:
             generator.generate_batch(vectors, repetitions=[0, 3])
 
     def test_ensure_hash_levels_leaves_nothing_to_build_lazily(self):
-        """Chunk threads share the generator, so after ``ensure_hash_levels``
-        a generation pass must find every table it reads already built."""
+        """After ``ensure_hash_levels`` a generation pass must find every
+        table it reads already built (nothing left to construct lazily)."""
         generator = self.make()
         generator.ensure_hash_levels()
         log_table = generator._log_probabilities

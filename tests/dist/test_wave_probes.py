@@ -297,26 +297,27 @@ EVERY_REPETITION = [(repetition, repetition) for repetition in range(REPETITIONS
 def test_request_scope_is_read_once_per_fanout(
     routed_loader, mmap_index, queries, probe_wave
 ):
+    """The scope is the call's own arguments: a failure on another fan-out
+    thread, after a sibling worker's request is in flight, is handled under
+    the ``allow_partial`` the fan-out was called with."""
     index = routed_loader()
     router = shard_router_of(index)
     transport = router.transport
-    scope_cleared = threading.Event()
+    in_flight = threading.Event()
     real_probe = transport.probe
 
     def probe(worker, *args, **kwargs):
         if worker == 0:
-            # The scope changes while the fan-out is in flight ...
-            router.clear_request_scope()
-            scope_cleared.set()
+            in_flight.set()
             return real_probe(worker, *args, **kwargs)
-        assert scope_cleared.wait(timeout=10)
+        assert in_flight.wait(timeout=10)
         raise ShardUnavailableError("worker 1 went away mid-fan-out")
 
     transport.probe = probe
     column, items, offsets, keys = probe_wave(mmap_index, queries[:6], EVERY_REPETITION)
-    router.set_request_scope(allow_partial=True)
-    # ... and the failure is still handled under the scope it started with.
-    _ids, _offsets, route = router.probe_batch_routed(column, items, offsets, keys)
+    _ids, _offsets, route = router.probe_batch_routed(
+        column, items, offsets, keys, allow_partial=True
+    )
     assert router.take_fanout_stats().shards_missing == sorted(
         {int(shard) for shard in route if router._shard_to_worker[shard] == 1}
     )

@@ -6,7 +6,7 @@ surfaces (single query, single candidates, batched queries, batched
 candidates, similarity join), serving a saved index through lazily mapped
 shards (``load_index(..., mode="mmap")``) returns results *bit-identical*
 to loading it into RAM — including with tombstone removals overlaid after
-the load, with per-shard probe fan-out enabled, across v2 → v3 conversion,
+the load and across v2 → v3 conversion,
 and for the single-query surfaces the work counters must match too (they
 are the paper's work measure; only ``shards_probed``, the storage-layout
 observable, may differ).
@@ -64,23 +64,15 @@ def _workload(distribution, dataset, rng):
     return queries
 
 
-def _all_surfaces(index, queries, probes, predicate, shard_workers=None):
+def _all_surfaces(index, queries, probes, predicate):
     """Results of every public query surface, as comparable structures."""
     single = [index.query(query)[0] for query in queries]
     best = [index.query(query, mode="best")[0] for query in queries]
     candidates = [index.query_candidates(query)[0] for query in queries]
-    batched, _stats = index.query_batch(
-        queries, batch_size=7, shard_workers=shard_workers
-    )
-    candidates_batched, _cstats = index.query_candidates_batch(
-        queries, batch_size=7, shard_workers=shard_workers
-    )
-    arrays, _astats = index.query_candidates_arrays_batch(
-        queries, batch_size=7, shard_workers=shard_workers
-    )
-    join = similarity_join(
-        index, probes, predicate, batch_size=9, shard_workers=shard_workers
-    )
+    batched, _stats = index.query_batch(queries, batch_size=7)
+    candidates_batched, _cstats = index.query_candidates_batch(queries, batch_size=7)
+    arrays, _astats = index.query_candidates_arrays_batch(queries, batch_size=7)
+    join = similarity_join(index, probes, predicate, batch_size=9)
     return {
         "single": single,
         "best": best,
@@ -112,33 +104,6 @@ def test_mmap_equals_ram_all_surfaces(
     assert mmap == original
     # The arrays surface is the sorted view of the candidate sets.
     assert mmap["arrays"] == [sorted(c) for c in mmap["candidates_batched"]]
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_mmap_equals_ram_with_shard_fanout(
-    kind, skewed_distribution, skewed_dataset, tmp_path
-):
-    """Per-shard thread-pool fan-out is an execution strategy only: results
-    with shard_workers > 1 are identical to the serial shard walk."""
-    index = _make_index(kind, skewed_distribution)
-    index.build(skewed_dataset[:70])
-    path = tmp_path / "index.v3"
-    save_index(index, path, config=PersistenceConfig(shards=6))
-    queries = _workload(
-        skewed_distribution, skewed_dataset, rng_for("tests:skewed-dataset")
-    )
-    probes = skewed_dataset[:12]
-    predicate = SimilarityPredicate("braun_blanquet", 0.4)
-
-    serial = _all_surfaces(load_index(path, mode="mmap"), queries, probes, predicate)
-    fanned = _all_surfaces(
-        load_index(path, mode="mmap", shard_workers=3),
-        queries,
-        probes,
-        predicate,
-        shard_workers=3,
-    )
-    assert fanned == serial
 
 
 @pytest.mark.parametrize("kind", KINDS)

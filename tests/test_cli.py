@@ -313,8 +313,6 @@ class TestConvertAndInspect:
                     str(dataset_file),
                     "--load-mode",
                     "mmap",
-                    "--shard-workers",
-                    "2",
                 ]
             )
             == 0
@@ -375,8 +373,6 @@ class TestServeParser:
                 "3",
                 "--load-mode",
                 "ram",
-                "--shard-workers",
-                "2",
             ]
         )
         assert args.extra_index == ["b=b.v3", "c=c.v3"]
@@ -387,6 +383,19 @@ class TestServeParser:
     def test_rejects_bad_load_mode(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "a.v3", "--load-mode", "disk"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "a.v3", "q.txt", "--shard-workers", "2"],
+            ["query-batch", "a.v3", "q.txt", "--workers", "2"],
+            ["query-batch", "a.v3", "q.txt", "--shard-workers", "2"],
+            ["serve", "a.v3", "--shard-workers", "2"],
+        ],
+    )
+    def test_rejects_removed_thread_flags(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_malformed_extra_index_exits_2(self, capsys):
         assert main(["serve", "a.v3", "--index", "missing-equals"]) == 2
