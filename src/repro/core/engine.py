@@ -35,10 +35,11 @@ router's, over worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from repro.core.stats import BatchQueryStats, BuildStats, KernelStats, QueryStat
 from repro.core.thresholds import ThresholdPolicy
 from repro.hashing.pairwise import PathHasher
 from repro.hashing.random_source import derive_seed
-from repro.similarity.measures import braun_blanquet
+from repro.similarity.measures import FROM_COUNTS, braun_blanquet
 
 SetLike = Iterable[int]
 SimilarityFunction = Callable[[frozenset[int], frozenset[int]], float]
@@ -97,6 +98,18 @@ _BUILD_GENERATION_BATCH = 24
 _WAVE_VIRTUAL_VECTORS = 256
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+#: Ends every sorted packed array searched below, so a lookup never runs off it.
+_SENTINEL = np.iinfo(np.int64).max
+
+
+class _LabelledSets(NamedTuple):
+    """Sets as sorted packed ``label * stride + item`` members (label: position
+    in ``sets``), then ``_SENTINEL``; all items are in ``[0, stride)``."""
+
+    sets: Sequence[frozenset[int]]
+    members: np.ndarray
+    sizes: np.ndarray
+    stride: int
 
 
 def default_repetitions(num_vectors: int) -> int:
@@ -225,6 +238,13 @@ class _FilterWaves:
         """The first repetition past the current wave."""
         assert self._wave is not None
         return self._wave_start + self._wave.repetitions
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive ``values`` begins."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
 
 def _distinct_probes(
@@ -543,11 +563,9 @@ class FilterEngine:
         self._vectors: list[frozenset[int]] = []
         self._removed: set[int] = set()
         self._build_stats = BuildStats()
-        # CSR view of the stored vectors, built lazily for vectorised
-        # candidate verification; invalidated by build()/insert().
-        self._store_flat_items: np.ndarray | None = None
-        self._store_offsets: np.ndarray | None = None
-        self._store_sizes: np.ndarray | None = None
+        # CSR view (flat items, start offsets, sizes) of the stored vectors,
+        # built lazily for vectorised verification; reset by build()/insert().
+        self._candidate_store: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Tombstones as a boolean mask over vector ids, built lazily for the
         # vectorised filtering step; invalidated whenever the removed set or
         # the vector count changes.
@@ -651,11 +669,9 @@ class FilterEngine:
                 f"state has {len(filter_indexes)} repetitions, "
                 f"engine expects {self._repetitions}"
             )
-        if isinstance(vectors, LazyVectorStore):
-            # mmap mode: adopt the mapped view as-is — materialising it here
-            # would page the whole vector store in and defeat lazy loading.
-            pass
-        else:
+        # mmap mode adopts the mapped view as-is: materialising it here would
+        # page the whole vector store in and defeat lazy loading.
+        if not isinstance(vectors, LazyVectorStore):
             vectors = [
                 members
                 if type(members) is frozenset
@@ -670,15 +686,12 @@ class FilterEngine:
         self._removed = removed_set
         self._build_stats = build_stats
         self._indexes = list(filter_indexes)
-        self._invalidate_candidate_store()
         self._removed_mask = None
-        if isinstance(vectors, LazyVectorStore):
-            # Vectorised verification reads the mapped CSR arrays directly;
-            # only the small per-vector offset/size arrays are materialised.
-            flat_items, starts, sizes = vectors.csr_view()
-            self._store_flat_items = flat_items
-            self._store_offsets = starts
-            self._store_sizes = sizes
+        # Vectorised verification reads a mapped store's CSR arrays directly;
+        # only the small per-vector offset/size arrays are materialised.
+        self._candidate_store = (
+            vectors.csr_view() if isinstance(vectors, LazyVectorStore) else None
+        )
 
     # ------------------------------------------------------------------ #
     # Build
@@ -700,7 +713,7 @@ class FilterEngine:
         self._vectors = [frozenset(int(item) for item in members) for members in collection]
         self._indexes = [InvertedFilterIndex() for _ in range(self._repetitions)]
         self._removed = set()
-        self._invalidate_candidate_store()
+        self._candidate_store = None
         self._removed_mask = None
         stats = BuildStats(num_vectors=len(self._vectors), repetitions=self._repetitions)
         counters = new_counters()
@@ -751,7 +764,7 @@ class FilterEngine:
         vector = frozenset(int(item) for item in members)
         vector_id = len(self._vectors)
         self._vectors.append(vector)
-        self._invalidate_candidate_store()
+        self._candidate_store = None
         self._removed_mask = None
         self._build_stats.num_vectors += 1
         if not vector:
@@ -793,11 +806,8 @@ class FilterEngine:
         if not self._removed:
             return None
         if self._removed_mask is None:
-            mask = np.zeros(len(self._vectors), dtype=bool)
-            mask[
-                np.fromiter(self._removed, dtype=np.int64, count=len(self._removed))
-            ] = True
-            self._removed_mask = mask
+            self._removed_mask = np.zeros(len(self._vectors), dtype=bool)
+            self._removed_mask[list(self._removed)] = True
         return self._removed_mask
 
     # ------------------------------------------------------------------ #
@@ -860,7 +870,7 @@ class FilterEngine:
         """
         evaluated = np.zeros(len(self._vectors), dtype=bool)
         removed = self._removed_lookup()
-        membership = np.zeros(self._probabilities.size, dtype=bool)
+        query = self._label_sets((query_set,))
         best_id: int | None = None
         best_similarity = -1.0
         impl = get_impl()
@@ -888,7 +898,7 @@ class FilterEngine:
                 stats.candidates_examined += int(ids.size)
                 continue
             evaluated[ordered_new] = True
-            similarities = self._batch_similarities(query_set, ordered_new, membership)
+            similarities = self._pair_similarities(query, np.zeros_like(ordered_new), ordered_new)
             if mode == "first":
                 hits = np.flatnonzero(similarities >= self._acceptance_threshold)
                 if hits.size:
@@ -1085,16 +1095,11 @@ class FilterEngine:
             raise ValueError(f"batch_size must be positive, got {chunk_size}")
 
         if deduplicate:
+            # Each distinct set's position among the distinct sets, in
+            # first-appearance order (dicts keep insertion order).
             position_of: dict[frozenset[int], int] = {}
-            unique_sets: list[frozenset[int]] = []
-            source: list[int] = []
-            for query_set in query_sets:
-                position = position_of.get(query_set)
-                if position is None:
-                    position = len(unique_sets)
-                    position_of[query_set] = position
-                    unique_sets.append(query_set)
-                source.append(position)
+            source = [position_of.setdefault(query, len(position_of)) for query in query_sets]
+            unique_sets = list(position_of)
         else:
             unique_sets = query_sets
             source = list(range(len(query_sets)))
@@ -1178,7 +1183,13 @@ class FilterEngine:
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[int | None], BatchQueryStats]:
-        """Answer one chunk of (already normalised, deduplicated) queries."""
+        """Answer one chunk of (already normalised, deduplicated) queries.
+
+        One labelled pass per repetition: collisions are packed as ``label *
+        n + id`` (label: the query's chunk position), so one first-appearance
+        ``ordered_unique`` over the label-major stream is every query's own
+        dedupe concatenated, and one segmented pass verifies the new pairs.
+        """
         chunk_stats = BatchQueryStats(
             num_queries=len(chunk), per_query=[QueryStats() for _ in chunk]
         )
@@ -1188,9 +1199,13 @@ class FilterEngine:
         active = [index for index, query_set in enumerate(chunk) if query_set]
         if not active:
             return results, chunk_stats
-        evaluated: dict[int, np.ndarray] = {index: _EMPTY_IDS for index in active}
-        best: dict[int, tuple[int | None, float]] = {index: (None, -1.0) for index in active}
-        membership = np.zeros(self._probabilities.size, dtype=bool)
+        stride = len(self._vectors)
+        queries = self._label_sets(chunk)
+        # The (label, id) pairs verified so far, sorted and packed like ``labelled``.
+        evaluated = np.array([_SENTINEL], dtype=np.int64)
+        verified = np.zeros(len(chunk), dtype=np.int64)
+        best_ids = np.full(len(chunk), -1, dtype=np.int64)
+        best_similarities = np.full(len(chunk), -1.0, dtype=np.float64)
         removed = self._removed_lookup()
         impl = get_impl()
         counters = new_counters()
@@ -1204,56 +1219,50 @@ class FilterEngine:
             if streams is None:
                 continue
             occurrence_ids, query_offsets = streams
+            merge_start = time.perf_counter()
+            label_bases = np.asarray(active, dtype=np.int64) * stride
+            labelled = np.repeat(label_bases, np.diff(query_offsets)) + occurrence_ids
+            ordered, _first_positions = impl.ordered_unique(labelled, counters)
+            fresh = evaluated[np.searchsorted(evaluated, ordered)] != ordered
+            labels, candidate_ids = np.divmod(ordered, stride)
+            if removed is not None:
+                fresh &= ~removed[candidate_ids]
+            # The fresh pairs are distinct and new: sorting the union is its merge.
+            evaluated = np.sort(np.concatenate((evaluated, ordered[fresh])))
+            chunk_stats.merge_seconds += time.perf_counter() - merge_start
+            if not fresh.any():
+                continue
+            verification_start = time.perf_counter()
+            labels, candidate_ids = labels[fresh], candidate_ids[fresh]
+            similarities = self._pair_similarities(queries, labels, candidate_ids)
+            verified += np.bincount(labels, minlength=len(chunk))
+            if mode == "first":
+                hits = np.flatnonzero(similarities >= self._acceptance_threshold)
+                if hits.size:
+                    # The first hit of each label, in first-appearance order.
+                    firsts = hits[_run_starts(labels[hits])]
+                    for label, vector_id in zip(labels[firsts], candidate_ids[firsts].tolist()):
+                        results[label] = vector_id
+                        chunk_stats.per_query[label].found = True
+                    active = [index for index in active if results[index] is None]
+            else:
+                # Each label's most similar candidate; ties go to the first.
+                top = np.lexsort((-similarities, labels))[_run_starts(labels)]
+                top_labels, top_similarities = labels[top], similarities[top]
+                better = (top_similarities >= self._acceptance_threshold) & (
+                    top_similarities > best_similarities[top_labels]
+                )
+                best_similarities[top_labels[better]] = top_similarities[better]
+                best_ids[top_labels[better]] = candidate_ids[top[better]]
+            chunk_stats.verification_seconds += time.perf_counter() - verification_start
 
-            surviving: list[int] = []
-            for position, index in enumerate(active):
-                query_stats = chunk_stats.per_query[index]
-                merge_start = time.perf_counter()
-                flat = occurrence_ids[query_offsets[position] : query_offsets[position + 1]]
-                ordered_new = _EMPTY_IDS
-                if flat.size:
-                    ordered, _first_positions = impl.ordered_unique(flat, counters)
-                    fresh = ~np.isin(ordered, evaluated[index], assume_unique=True)
-                    if removed is not None:
-                        fresh &= ~removed[ordered]
-                    ordered_new = ordered[fresh]
-                    if ordered_new.size:
-                        evaluated[index] = np.union1d(evaluated[index], ordered_new)
-                chunk_stats.merge_seconds += time.perf_counter() - merge_start
-                resolved = False
-                if ordered_new.size:
-                    query_stats.unique_candidates += int(ordered_new.size)
-                    verification_start = time.perf_counter()
-                    similarities = self._batch_similarities(
-                        chunk[index], ordered_new, membership
-                    )
-                    query_stats.similarity_evaluations += int(ordered_new.size)
-                    chunk_stats.verification_seconds += (
-                        time.perf_counter() - verification_start
-                    )
-                    if mode == "first":
-                        hits = np.flatnonzero(similarities >= self._acceptance_threshold)
-                        if hits.size:
-                            results[index] = int(ordered_new[int(hits[0])])
-                            query_stats.found = True
-                            resolved = True
-                    else:
-                        top_position = int(np.argmax(similarities))
-                        top_similarity = float(similarities[top_position])
-                        if (
-                            top_similarity >= self._acceptance_threshold
-                            and top_similarity > best[index][1]
-                        ):
-                            best[index] = (int(ordered_new[top_position]), top_similarity)
-                if not resolved:
-                    surviving.append(index)
-            active = surviving
-
+        for query_stats, count in zip(chunk_stats.per_query, verified.tolist()):
+            query_stats.unique_candidates += count
+            query_stats.similarity_evaluations += count
         if mode == "best":
-            for index, (best_id, _best_similarity) in best.items():
-                if best_id is not None:
-                    results[index] = best_id
-                    chunk_stats.per_query[index].found = True
+            for index in np.flatnonzero(best_ids >= 0).tolist():
+                results[index] = int(best_ids[index])
+                chunk_stats.per_query[index].found = True
         chunk_stats.generation_seconds = waves.seconds
         chunk_stats.merge_seconds += probes.seconds
         chunk_stats.kernel.add_counters(counters)
@@ -1336,83 +1345,56 @@ class FilterEngine:
     # Vectorised candidate verification
     # ------------------------------------------------------------------ #
 
-    def _invalidate_candidate_store(self) -> None:
-        self._store_flat_items = None
-        self._store_offsets = None
-        self._store_sizes = None
-
-    def _ensure_candidate_store(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _ensure_candidate_store(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR view (flat items, start offsets, sizes) of the stored vectors."""
-        if self._store_flat_items is None:
-            sizes = np.fromiter(
-                (len(vector) for vector in self._vectors),
-                dtype=np.int64,
-                count=len(self._vectors),
-            )
-            offsets = np.zeros(len(self._vectors), dtype=np.int64)
-            if sizes.size:
-                offsets[1:] = np.cumsum(sizes)[:-1]
+        if self._candidate_store is None:
+            sizes = np.fromiter(map(len, self._vectors), dtype=np.int64, count=len(self._vectors))
             flat_items = np.fromiter(
-                (item for vector in self._vectors for item in vector),
-                dtype=np.int64,
-                count=int(sizes.sum()),
+                itertools.chain.from_iterable(self._vectors), dtype=np.int64, count=int(sizes.sum())
             )
-            self._store_sizes = sizes
-            self._store_offsets = offsets
-            self._store_flat_items = flat_items
-        assert self._store_offsets is not None and self._store_sizes is not None
-        return self._store_flat_items, self._store_offsets, self._store_sizes
+            self._candidate_store = (flat_items, np.cumsum(sizes) - sizes, sizes)
+        return self._candidate_store
 
-    def _batch_similarities(
-        self,
-        query_set: frozenset[int],
-        candidate_ids: Sequence[int] | np.ndarray,
-        membership: np.ndarray,
-    ) -> np.ndarray:
-        """Similarities of many candidates against one query, vectorised.
-
-        Braun-Blanquet (the default) is computed with array operations: the
-        candidates' item lists are gathered from the CSR store and their
-        intersection sizes with the query's membership mask are obtained via
-        a single segmented reduction.  Custom similarity functions fall back
-        to per-pair evaluation.
-        """
-        if self._similarity is not braun_blanquet:
-            return np.asarray(
-                [
-                    self._similarity(self._vectors[candidate_id], query_set)
-                    for candidate_id in candidate_ids
-                ],
-                dtype=np.float64,
-            )
-        flat_items, offsets, sizes = self._ensure_candidate_store()
-        candidates = np.asarray(candidate_ids, dtype=np.int64)
-        lengths = sizes[candidates]
-        if lengths.size == 0 or int(lengths.min()) == 0:
-            # Degenerate (empty) stored vectors cannot use the segmented
-            # reduction; they should never be candidates, but stay exact.
-            return np.asarray(
-                [
-                    braun_blanquet(self._vectors[candidate_id], query_set)
-                    for candidate_id in candidate_ids
-                ],
-                dtype=np.float64,
-            )
-        query_items = np.fromiter(query_set, dtype=np.int64, count=len(query_set))
-        membership[query_items] = True
-        starts = offsets[candidates]
-        segment_ends = np.cumsum(lengths)
-        total = int(segment_ends[-1])
-        gather = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(segment_ends - lengths, lengths)
-            + np.repeat(starts, lengths)
+    def _label_sets(self, sets: Sequence[frozenset[int]]) -> _LabelledSets:
+        """``sets`` labelled with a stride of the universe size (the generator
+        rejects any query or stored item outside the universe)."""
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        items = np.fromiter(
+            itertools.chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum())
         )
-        hits = membership[flat_items[gather]].astype(np.int64)
-        boundaries = np.concatenate(([0], segment_ends[:-1]))
-        counts = np.add.reduceat(hits, boundaries)
-        membership[query_items] = False
-        denominators = np.maximum(lengths, len(query_set))
-        return counts / denominators
+        stride = self._probabilities.size
+        members = np.sort(np.repeat(np.arange(len(sets), dtype=np.int64) * stride, sizes) + items)
+        return _LabelledSets(sets, np.append(members, _SENTINEL), sizes, stride)
+
+    def _pair_similarities(
+        self,
+        queries: _LabelledSets,
+        labels: np.ndarray,
+        candidate_ids: np.ndarray,
+        similarity: SimilarityFunction | None = None,
+    ) -> np.ndarray:
+        """Similarities (default: the engine's) of the pairs ``(vector
+        candidate_ids[k], queries.sets[labels[k]])``.
+
+        Candidates' items are gathered from the CSR store, packed with their
+        pair's label and looked up among the queries' packed members; the
+        counts feed the measure's :data:`~repro.similarity.measures.FROM_COUNTS`
+        form.  A similarity without one is evaluated pair by pair.
+        """
+        similarity = self._similarity if similarity is None else similarity
+        from_counts = FROM_COUNTS.get(similarity)
+        if from_counts is None:
+            pairs = zip(labels.tolist(), candidate_ids.tolist())
+            sets, vectors = queries.sets, self._vectors
+            return np.asarray([similarity(vectors[v], sets[q]) for q, v in pairs], dtype=np.float64)
+        flat_items, starts, sizes = self._ensure_candidate_store()
+        lengths = sizes[candidate_ids]
+        items = _segment_gather(flat_items, starts[candidate_ids], lengths).astype(
+            np.int64, copy=False
+        )
+        pair = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        # A lone set's label is 0: its members are its items.
+        labelled = items if len(queries.sets) == 1 else labels[pair] * queries.stride + items
+        matches = queries.members[np.searchsorted(queries.members, labelled)] == labelled
+        common = np.bincount(pair[matches], minlength=lengths.size)
+        return from_counts(common, lengths, queries.sizes[labels])

@@ -10,10 +10,11 @@ candidate merging are amortised across probes instead of repeating an
 isolated single-query loop ``|R|`` times.  Indexes exposing
 ``query_candidates_arrays_batch`` (the filter-engine family) hand the CSR
 merge's sorted id arrays straight to verification — no per-probe Python set
-is ever materialised; others fall back to ``query_candidates_batch`` and
-finally to per-probe queries.  Candidates are always verified exactly
-against the requested similarity predicate, so the reported pairs are never
-false positives.
+is ever materialised — and their engine verifies a whole chunk's
+(probe, candidate) pairs in one segmented pass; others fall back to
+``query_candidates_batch`` and finally to per-probe queries, verified pair
+by pair.  Candidates are always verified exactly against the requested
+similarity predicate, so the reported pairs are never false positives.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from typing import Any, Iterable, Protocol, Sequence
 import numpy as np
 
 from repro.core.config import DEFAULT_BATCH_SIZE
+from repro.core.engine import FilterEngine
 from repro.core.stats import QueryStats, ShardFanoutStats
-from repro.similarity.predicates import SimilarityPredicate
+from repro.similarity.predicates import SimilarityPredicate, measure_by_name
 
 SetLike = Iterable[int]
 
@@ -146,6 +148,8 @@ def similarity_join(
             batch_kwargs["allow_partial"] = True
         if deadline is not None:
             batch_kwargs["deadline"] = deadline
+        engine = getattr(index, "_engine", None)  # noqa: SLF001 - a friend module
+        measure = measure_by_name(predicate.measure)
         for start in range(0, len(probe_sets), chunk_size):
             block = probe_sets[start : start + chunk_size]
             candidate_lists, batch_stats = batch_method(block, **batch_kwargs)
@@ -153,6 +157,23 @@ def similarity_join(
                 stats.candidates_examined for stats in batch_stats.per_query
             )
             result.fanout.add(batch_stats.fanout)
+            if isinstance(engine, FilterEngine):
+                # One segmented pass over the chunk's (probe, candidate) pairs,
+                # in the order ``verify`` visits them.
+                sizes = [candidates.size for candidates in candidate_lists]
+                labels = np.repeat(np.arange(len(block), dtype=np.int64), sizes)
+                candidate_ids = np.concatenate(candidate_lists)
+                scores = engine._pair_similarities(  # noqa: SLF001 - a friend module
+                    engine._label_sets(block), labels, candidate_ids, measure  # noqa: SLF001
+                )
+                result.similarity_evaluations += int(candidate_ids.size)
+                accepted = np.flatnonzero(scores >= predicate.threshold)
+                result.pairs += zip(
+                    (labels[accepted] + start).tolist(),
+                    candidate_ids[accepted].tolist(),
+                    scores[accepted].tolist(),
+                )
+                continue
             for offset, (probe_set, candidates) in enumerate(zip(block, candidate_lists)):
                 if not probe_set:
                     continue
@@ -195,21 +216,18 @@ def similarity_self_join(
         Forwarded to :func:`similarity_join`.
     """
     raw = similarity_join(index, collection, predicate, batch_size=batch_size)
-    seen: set[tuple[int, int]] = set()
     deduplicated: list[tuple[int, int, float]] = []
-    for probe_index, candidate_id, similarity in raw.pairs:
-        if probe_index == candidate_id:
-            if include_self_pairs:
-                key = (probe_index, candidate_id)
-                if key not in seen:
-                    seen.add(key)
-                    deduplicated.append((probe_index, candidate_id, similarity))
-            continue
-        low, high = sorted((probe_index, candidate_id))
-        key = (low, high)
-        if key not in seen:
-            seen.add(key)
-            deduplicated.append((low, high, similarity))
+    if raw.pairs:
+        probe_ids, candidate_ids, scores = (np.asarray(column) for column in zip(*raw.pairs))
+        low = np.minimum(probe_ids, candidate_ids)
+        high = np.maximum(probe_ids, candidate_ids)
+        kept = np.flatnonzero(include_self_pairs | (low != high))
+        # Each unordered pair once, at its first appearance.
+        _pairs, first = np.unique(
+            low[kept] * (int(high.max()) + 1) + high[kept], return_index=True
+        )
+        kept = kept[np.sort(first)]
+        deduplicated = list(zip(low[kept].tolist(), high[kept].tolist(), scores[kept].tolist()))
     return JoinResult(
         pairs=deduplicated,
         candidates_examined=raw.candidates_examined,

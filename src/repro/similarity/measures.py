@@ -10,7 +10,7 @@ can be huge while sets are small).
 from __future__ import annotations
 
 import math
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -86,6 +86,28 @@ def cosine(x: SetLike, q: SetLike) -> float:
     if denominator == 0:
         return 0.0
     return intersection_size(set_x, set_q) / denominator
+
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` elementwise, 0 where the denominator is 0.
+
+    In every measure below a zero denominator means an empty set, so the
+    numerator is 0 too and dividing by 1 there yields the scalar's 0.0.
+    """
+    return numerator / np.maximum(denominator, 1)
+
+
+#: The five measures above as functions of ``(|x ∩ q|, |x|, |q|)`` over
+#: ``int64`` arrays, keyed by the scalar function.  Each applies its scalar
+#: formula elementwise in the same order of operations, so every value equals
+#: the scalar function's bit for bit (counts stay far below 2**53).
+FROM_COUNTS: dict[Callable[..., float], Callable[..., np.ndarray]] = {
+    braun_blanquet: lambda common, x, q: _ratio(common, np.maximum(x, q)),
+    jaccard: lambda common, x, q: _ratio(common, x + q - common),
+    dice: lambda common, x, q: _ratio(2.0 * common, x + q),
+    overlap_coefficient: lambda common, x, q: _ratio(common, np.minimum(x, q)),
+    cosine: lambda common, x, q: _ratio(common, np.sqrt(x * q)),
+}
 
 
 def hamming_distance(x: SetLike, q: SetLike) -> int:

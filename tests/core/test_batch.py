@@ -8,6 +8,7 @@ deduplication on/off).
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,17 +18,21 @@ from repro.baselines.brute_force import BruteForceIndex
 from repro.baselines.chosen_path import ChosenPathIndex
 from repro.baselines.minhash import MinHashIndex
 from repro.baselines.prefix_filter import PrefixFilterIndex
+from repro.core import engine as engine_module
 from repro.core.batch import run_loop_batch
 from repro.core.config import (
     DEFAULT_BATCH_SIZE,
     BatchQueryConfig,
     CorrelatedIndexConfig,
+    PersistenceConfig,
     SkewAdaptiveIndexConfig,
 )
 from repro.core.correlated_index import CorrelatedIndex
 from repro.core.join import similarity_join, similarity_self_join
 from repro.core.skewed_index import SkewAdaptiveIndex
-from repro.core.stats import BatchQueryStats, BuildStats, QueryStats
+from repro.core.serialization import load_index, save_index
+from repro.core.stats import BatchQueryStats, BuildStats, KernelStats, QueryStats
+from repro.dist import load_routed_index, shard_router_of
 from repro.evaluation.harness import QueryWorkload, run_workload
 from repro.similarity.predicates import SimilarityPredicate
 
@@ -81,6 +86,33 @@ def built_indexes(skewed_distribution, batch_dataset):
     return _build_indexes(skewed_distribution, batch_dataset)
 
 
+@pytest.fixture(scope="module")
+def store_views(skewed_distribution, batch_dataset, tmp_path_factory):
+    """One index with tombstones, served from RAM, mmap and an inproc router."""
+    index = SkewAdaptiveIndex(
+        skewed_distribution, config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=4, seed=5)
+    )
+    index.build(batch_dataset)
+    for vector_id in (0, 3, 11):
+        index.remove(vector_id)
+    path = tmp_path_factory.mktemp("chunk-invariance") / "index.v3"
+    save_index(index, path, config=PersistenceConfig(shards=3))
+    routed = load_routed_index(path, transport="inproc", shard_procs=2)
+    yield {"ram": index, "mmap": load_index(path, mode="mmap"), "routed": routed}
+    shard_router_of(routed).close()
+
+
+def _work(stats: QueryStats) -> dict:
+    """Every ``QueryStats`` field but the kernel counters."""
+    fields = stats.to_dict()
+    del fields["kernel"]
+    return fields
+
+
+def _merge_counts(kernel: KernelStats) -> tuple[int, int]:
+    return kernel.merge_rows, kernel.dedupe_hits
+
+
 INDEX_NAMES = [
     "skew_adaptive",
     "correlated",
@@ -111,12 +143,41 @@ class TestBatchSingleEquivalence:
 
     @pytest.mark.parametrize("batch_size", [1, 3, 7, DEFAULT_BATCH_SIZE])
     def test_chunk_size_never_changes_results(
-        self, built_indexes, batch_queries, batch_size
+        self, store_views, batch_queries, batch_size, monkeypatch
     ):
-        index = built_indexes["skew_adaptive"]
-        expected = [index.query(query)[0] for query in batch_queries]
-        results, _stats = index.query_batch(batch_queries, batch_size=batch_size)
-        assert results == expected
+        """Answers *and* the work counters, on every store, after removals.
+
+        The queries include duplicates and an empty set.  Per-query
+        ``QueryStats`` must equal the one-chunk run's field for field;
+        the merge counters sum the same at any chunk size, and with one
+        repetition per generation pass every ``KernelStats`` field does.
+        """
+        for store, index in store_views.items():
+            for mode in ("first", "best"):
+                expected = [index.query(query, mode=mode)[0] for query in batch_queries]
+                reference = index.query_batch(batch_queries, mode=mode)[1]
+                results, stats = index.query_batch(
+                    batch_queries, mode=mode, batch_size=batch_size
+                )
+                assert results == expected, (store, mode)
+                assert [_work(entry) for entry in stats.per_query] == [
+                    _work(entry) for entry in reference.per_query
+                ], (store, mode)
+                assert _merge_counts(stats.kernel) == _merge_counts(reference.kernel)
+                if store != "ram":
+                    # The sharded views share one layout, so even the
+                    # shard counts agree with the mmap index.
+                    mmap_stats = store_views["mmap"].query_batch(
+                        batch_queries, mode=mode, batch_size=batch_size
+                    )[1]
+                    assert stats.per_query == mmap_stats.per_query, (store, mode)
+
+        monkeypatch.setattr(engine_module, "_WAVE_VIRTUAL_VECTORS", 1)
+        for store, index in store_views.items():
+            for mode in ("first", "best"):
+                reference = index.query_batch(batch_queries, mode=mode)[1]
+                stats = index.query_batch(batch_queries, mode=mode, batch_size=batch_size)[1]
+                assert stats.kernel == reference.kernel, (store, mode)
 
     def test_deduplicate_off_matches(self, built_indexes, batch_queries):
         index = built_indexes["skew_adaptive"]
@@ -249,6 +310,81 @@ class TestBatchStatsAccounting:
         assert stats.per_query[1].total_work == 0
         assert stats.per_query[1].found == stats.per_query[0].found
         assert not stats.per_query[2].from_cache
+
+
+class TestPinnedWork:
+    """One fixed seeded batch's answers and work counts, pinned.
+
+    Seeds are literal (not derived from ``REPRO_SEED_BASE``) so the pinned
+    values hold under any seed base.  The digest covers the results and
+    every per-query count; a change to how the engine merges or verifies
+    candidates must leave all of them, and the chunk's kernel counters,
+    exactly as they are.
+    """
+
+    PINNED = {
+        "first": (
+            "ecc60296ddc13bbb21b2bd3f1c662caf201492a7c1aa24efea48e611a0a2d63b",
+            {
+                "paths_extended": 4019,
+                "keys_folded": 24069,
+                "chain_probes": 0,
+                "merge_rows": 551,
+                "dedupe_hits": 153,
+            },
+        ),
+        "best": (
+            "00690579a29c2130626fd3d601eb751b9ba79570117dbbbe7cf8378a2af77a51",
+            {
+                "paths_extended": 4019,
+                "keys_folded": 24069,
+                "chain_probes": 0,
+                "merge_rows": 1316,
+                "dedupe_hits": 511,
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["first", "best"])
+    def test_fixed_batch_work_is_pinned(self, skewed_distribution, mode):
+        rng = np.random.default_rng(9003)
+        dataset = [
+            vector if vector else frozenset({0})
+            for vector in skewed_distribution.sample_many(160, rng)
+        ]
+        index = SkewAdaptiveIndex(
+            skewed_distribution,
+            config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=6, seed=9003),
+        )
+        index.build(dataset)
+        for vector_id in (2, 17, 90):
+            index.remove(vector_id)
+        query_rng = np.random.default_rng(9004)
+        planted = [
+            skewed_distribution.sample_correlated(dataset[int(source)], 0.75, query_rng)
+            for source in query_rng.integers(len(dataset), size=40)
+        ]
+        fresh = skewed_distribution.sample_many(30, query_rng)
+        queries = planted + fresh + [frozenset(), planted[3], fresh[5]]
+
+        results, stats = index.query_batch(queries, mode=mode, batch_size=16)
+        per_query = [
+            [
+                entry.filters_generated,
+                entry.candidates_examined,
+                entry.unique_candidates,
+                entry.similarity_evaluations,
+                entry.repetitions_used,
+                entry.shards_probed,
+                int(entry.found),
+                int(entry.from_cache),
+            ]
+            for entry in stats.per_query
+        ]
+        blob = json.dumps([results, per_query], separators=(",", ":")).encode()
+        digest, kernel = self.PINNED[mode]
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert stats.kernel.to_dict() == kernel
 
 
 class TestStatsSerialization:

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.brute_force import BruteForceIndex
-from repro.core.config import SkewAdaptiveIndexConfig
+from repro.core.config import PersistenceConfig, SkewAdaptiveIndexConfig
+from repro.core.engine import FilterEngine
 from repro.core.join import JoinResult, similarity_join, similarity_self_join
+from repro.core.serialization import load_index, save_index
 from repro.core.skewed_index import SkewAdaptiveIndex
+from repro.core.thresholds import AdversarialThreshold
 from repro.similarity.measures import braun_blanquet
 from repro.similarity.predicates import SimilarityPredicate
 
@@ -173,6 +176,116 @@ class TestSelfJoin:
         reported = result.pair_set()
         assert (0, len(base)) in reported
         assert (1, len(base) + 1) in reported
+
+
+@pytest.fixture(scope="module")
+def ram_and_mmap(skewed_distribution, join_data, tmp_path_factory):
+    """The same index (with tombstones) served from RAM and from mmap."""
+    dataset, _probes = join_data
+    index = build_index(skewed_distribution, dataset, b1=0.3)
+    for vector_id in (4, 9):
+        index.remove(vector_id)
+    path = tmp_path_factory.mktemp("join-measures") / "index.v3"
+    save_index(index, path, config=PersistenceConfig(shards=2))
+    return {"ram": index, "mmap": load_index(path, mode="mmap")}
+
+
+@pytest.mark.parametrize("measure", ["braun_blanquet", "jaccard", "dice", "overlap", "cosine"])
+def test_join_scores_are_the_measure_bit_for_bit(
+    skewed_distribution, join_data, ram_and_mmap, measure
+):
+    """Exactly the pairs, in order, and the float scores ``==`` the scalar measure."""
+    dataset, probes = join_data
+    rng = np.random.default_rng(31)
+    extra = [frozenset(s) for s in skewed_distribution.sample_many(15, rng)]
+    probes = probes + extra + [frozenset(), probes[0]]
+    predicate = SimilarityPredicate(measure, 0.3)
+    for store, index in ram_and_mmap.items():
+        candidate_lists, _stats = index.query_candidates_arrays_batch(probes)
+        expected = []
+        evaluations = 0
+        for probe_index, (probe, candidates) in enumerate(zip(probes, candidate_lists)):
+            for candidate_id in candidates.tolist():
+                similarity = predicate.similarity(index.get_vector(candidate_id), probe)
+                evaluations += 1
+                if similarity >= predicate.threshold:
+                    expected.append((probe_index, candidate_id, similarity))
+        for batch_size in (None, 7):
+            result = similarity_join(index, probes, predicate, batch_size=batch_size)
+            assert result.pairs == expected, (store, batch_size)
+            assert all(type(score) is float for _r, _s, score in result.pairs)
+            assert result.similarity_evaluations == evaluations
+        assert expected, store  # the threshold is low enough to report pairs
+
+
+def test_engine_with_custom_similarity_verifies_pair_by_pair(skewed_distribution, join_data):
+    """A similarity with no count form is called once per verified pair."""
+    dataset, probes = join_data
+    calls = []
+
+    def containment(stored, query):
+        calls.append(1)
+        return len(stored & query) / len(query)
+
+    class _ContainmentIndex(SkewAdaptiveIndex):
+        def _create_engine(self, num_vectors):
+            return FilterEngine(
+                probabilities=self._distribution.probabilities,
+                threshold_policy=AdversarialThreshold(0.5),
+                acceptance_threshold=0.5,
+                num_vectors_hint=num_vectors,
+                repetitions=6,
+                similarity=containment,
+                seed=11,
+            )
+
+    index = _ContainmentIndex(
+        skewed_distribution, config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=6, seed=11)
+    )
+    index.build(dataset)
+    for mode in ("first", "best"):
+        calls.clear()
+        results, stats = index.query_batch(probes, mode=mode)
+        assert len(calls) == sum(entry.similarity_evaluations for entry in stats.per_query)
+        assert results == [index.query(probe, mode=mode)[0] for probe in probes]
+        assert any(result is not None for result in results)
+        for probe, result in zip(probes, results):
+            if result is not None:
+                assert containment(dataset[result], probe) >= 0.5
+    # The join verifies against its predicate, not the engine's similarity.
+    predicate = SimilarityPredicate("jaccard", 0.3)
+    reference = similarity_join(_NoBatchIndex(index), probes, predicate)
+    assert similarity_join(index, probes, predicate).pairs == sorted(reference.pairs)
+
+
+def _self_join_reference(pairs, include_self_pairs):
+    """The pair-at-a-time dedupe: first appearance of each unordered pair."""
+    seen = set()
+    deduplicated = []
+    for probe_index, candidate_id, similarity in pairs:
+        if probe_index == candidate_id and not include_self_pairs:
+            continue
+        key = (min(probe_index, candidate_id), max(probe_index, candidate_id))
+        if key not in seen:
+            seen.add(key)
+            deduplicated.append((*key, similarity))
+    return deduplicated
+
+
+@pytest.mark.parametrize("include_self_pairs", [False, True])
+def test_self_join_dedupe_equals_the_pair_loop(
+    skewed_distribution, join_data, include_self_pairs
+):
+    dataset, _probes = join_data
+    index = build_index(skewed_distribution, dataset, b1=0.3)
+    predicate = SimilarityPredicate("braun_blanquet", 0.3)
+    raw = similarity_join(index, dataset, predicate)
+    result = similarity_self_join(
+        index, dataset, predicate, include_self_pairs=include_self_pairs
+    )
+    assert result.pairs == _self_join_reference(raw.pairs, include_self_pairs)
+    assert len(result.pairs) < len(raw.pairs)
+    assert result.similarity_evaluations == raw.similarity_evaluations
 
 
 class TestJoinResult:

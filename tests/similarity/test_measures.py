@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.similarity.measures import (
+    FROM_COUNTS,
     braun_blanquet,
     cosine,
     dice,
@@ -103,6 +104,24 @@ class TestDiceOverlapCosine:
         x, q = {1, 2, 3, 7}, {2, 3, 9}
         assert jaccard(x, q) <= dice(x, q)
         assert braun_blanquet(x, q) <= cosine(x, q) <= overlap_coefficient(x, q)
+
+
+@pytest.mark.parametrize("measure", list(FROM_COUNTS), ids=lambda f: f.__name__)
+def test_count_form_equals_the_scalar_measure(measure):
+    """Bit for bit on every (|x ∩ q|, |x|, |q|) up to 16, empty sets included."""
+    shapes = [
+        (common, size_x, size_q)
+        for size_x in range(17)
+        for size_q in range(17)
+        for common in range(min(size_x, size_q) + 1)
+    ]
+    # x = {0 .. size_x - 1}; q starts ``common`` items before x ends.
+    expected = []
+    for common, size_x, size_q in shapes:
+        start = size_x - common
+        expected.append(measure(frozenset(range(size_x)), frozenset(range(start, start + size_q))))
+    common, size_x, size_q = (np.asarray(column, dtype=np.int64) for column in zip(*shapes))
+    assert FROM_COUNTS[measure](common, size_x, size_q).tolist() == expected
 
 
 class TestHamming:
