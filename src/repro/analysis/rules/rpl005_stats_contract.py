@@ -4,81 +4,37 @@
 CLI, ``/stats``, the benchmark gates and the equivalence suites all read
 specific fields, so a query surface that stops populating one (or
 populates a misspelled one — plain dataclasses accept any attribute)
-drifts silently.  This rule pins the contract three ways:
+drifts silently.  The declared fields are read off the records in
+:mod:`repro.core.stats` themselves, and the rule pins the contract three
+ways:
 
 * constructor keywords must be declared fields,
 * attribute writes on a variable bound from a stats constructor must be
   declared fields,
 * each named query surface must populate the fields it claims
-  (:data:`SURFACE_CONTRACT`), and the stats dataclasses themselves must
-  match :data:`DECLARED_FIELDS` — so editing ``stats.py`` without
-  updating the contract table is itself a finding.
+  (:data:`SURFACE_CONTRACT`), each of which some record must declare.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.registry import Rule, register
 from repro.analysis.source import SourceModule, call_name
+from repro.core import stats
 
-#: The declared stats contract; must match the dataclasses in
-#: ``repro/core/stats.py`` (checked by this rule when linting that file).
-DECLARED_FIELDS: dict[str, frozenset[str]] = {
-    "KernelStats": frozenset(
-        {
-            "paths_extended",
-            "keys_folded",
-            "chain_probes",
-            "merge_rows",
-            "dedupe_hits",
-        }
-    ),
-    "QueryStats": frozenset(
-        {
-            "filters_generated",
-            "candidates_examined",
-            "unique_candidates",
-            "similarity_evaluations",
-            "found",
-            "repetitions_used",
-            "shards_probed",
-            "from_cache",
-            "kernel",
-        }
-    ),
-    "BatchQueryStats": frozenset(
-        {
-            "num_queries",
-            "per_query",
-            "distinct_filter_probes",
-            "duplicate_filter_probes",
-            "queries_deduplicated",
-            "elapsed_seconds",
-            "generation_seconds",
-            "verification_seconds",
-            "merge_seconds",
-            "shards_probed",
-            "minor_page_faults",
-            "major_page_faults",
-            "kernel",
-            "fanout",
-        }
-    ),
-    "AggregatedQueryStats": frozenset(
-        {
-            "num_queries",
-            "total_filters_generated",
-            "total_candidates_examined",
-            "total_unique_candidates",
-            "total_similarity_evaluations",
-            "num_found",
-            "per_query",
-        }
-    ),
+#: Each stats record's declared fields, read off the dataclass.
+_RECORD_FIELDS: dict[str, frozenset[str]] = {
+    name: frozenset(spec.name for spec in fields(record))
+    for name, record in vars(stats).items()
+    if isinstance(record, type)
+    and issubclass(record, stats.StatsRecord)
+    and record is not stats.StatsRecord
 }
+_DECLARED = frozenset().union(*_RECORD_FIELDS.values())
 
 #: Fields each query surface must populate (ctor keyword or attribute
 #: write anywhere in the function body).  Keys are qualnames
@@ -108,20 +64,9 @@ SURFACE_CONTRACT: dict[str, frozenset[str]] = {
             "found",
         }
     ),
-    "FilterEngine.query_candidates": frozenset({"unique_candidates"}),
-    "FilterEngine._query_candidates_csr": frozenset({"candidates_examined"}),
+    # The chunk counters reach the batch through ``accumulate``.
     "FilterEngine._execute_batched": frozenset(
-        {
-            "num_queries",
-            "distinct_filter_probes",
-            "duplicate_filter_probes",
-            "generation_seconds",
-            "verification_seconds",
-            "merge_seconds",
-            "shards_probed",
-            "queries_deduplicated",
-            "elapsed_seconds",
-        }
+        {"num_queries", "queries_deduplicated", "elapsed_seconds"}
     ),
     "FilterEngine._query_batch_chunk": frozenset(
         {
@@ -131,15 +76,14 @@ SURFACE_CONTRACT: dict[str, frozenset[str]] = {
             "merge_seconds",
         }
     ),
+    # ``query_candidates`` runs as a one-query chunk of this.
     "FilterEngine._candidate_arrays_chunk": frozenset(
-        {"num_queries", "generation_seconds", "merge_seconds"}
+        {"num_queries", "generation_seconds", "merge_seconds", "unique_candidates"}
     ),
     "run_loop_batch": frozenset(
         {"num_queries", "queries_deduplicated", "elapsed_seconds"}
     ),
 }
-
-_STATS_CLASSES = frozenset(DECLARED_FIELDS)
 
 
 def _walk_functions(
@@ -161,7 +105,7 @@ def _stats_ctor_name(call: ast.Call) -> str | None:
     if name is None:
         return None
     tail = name.rsplit(".", 1)[-1]
-    return tail if tail in _STATS_CLASSES else None
+    return tail if tail in _RECORD_FIELDS else None
 
 
 @register
@@ -177,41 +121,8 @@ class StatsContract(Rule):
     hint = "update the surface and the contract table in rpl005 together"
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        yield from self._check_class_drift(module)
         for qualname, function in _walk_functions(module.tree):
             yield from self._check_function(module, function, qualname)
-
-    def _check_class_drift(self, module: SourceModule) -> Iterator[Finding]:
-        """When linting the stats module itself, pin the declared contract."""
-        for node in module.tree.body:
-            if not isinstance(node, ast.ClassDef) or node.name not in _STATS_CLASSES:
-                continue
-            annotated = {
-                statement.target.id
-                for statement in node.body
-                if isinstance(statement, ast.AnnAssign)
-                and isinstance(statement.target, ast.Name)
-                and not statement.target.id.startswith("_")
-            }
-            declared = DECLARED_FIELDS[node.name]
-            for missing in sorted(declared - annotated):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    f"'{node.name}' no longer declares field '{missing}' listed "
-                    "in the lint contract",
-                    scope=node.name,
-                )
-            for extra in sorted(annotated - declared):
-                yield self.finding(
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    f"'{node.name}' declares field '{extra}' unknown to the "
-                    "lint contract; update DECLARED_FIELDS in rpl005",
-                    scope=node.name,
-                )
 
     def _check_function(
         self,
@@ -226,7 +137,7 @@ class StatsContract(Rule):
             if isinstance(node, ast.Call):
                 ctor = _stats_ctor_name(node)
                 if ctor is not None:
-                    declared = DECLARED_FIELDS[ctor]
+                    declared = _RECORD_FIELDS[ctor]
                     for keyword in node.keywords:
                         if keyword.arg is None:
                             continue
@@ -261,7 +172,7 @@ class StatsContract(Rule):
                 and target.value.id in stats_vars
             ):
                 populated.add(target.attr)
-                declared = DECLARED_FIELDS[stats_vars[target.value.id]]
+                declared = _RECORD_FIELDS[stats_vars[target.value.id]]
                 if target.attr not in declared:
                     yield self.finding(
                         module,
@@ -286,6 +197,15 @@ class StatsContract(Rule):
                     for tgt in node.targets:
                         if isinstance(tgt, ast.Attribute):
                             populated.add(tgt.attr)
+            for undeclared in sorted(required - _DECLARED):
+                yield self.finding(
+                    module,
+                    function.lineno,
+                    function.col_offset,
+                    f"contract field '{undeclared}' of '{function.name}' is "
+                    "declared by no stats record",
+                    scope=function.name,
+                )
             for missing in sorted(required - populated):
                 yield self.finding(
                     module,

@@ -41,12 +41,8 @@ def run_loop_batch(
     -------
     (results, stats):
         Results in input order plus a :class:`BatchQueryStats` whose
-        ``per_query`` entries line up with the inputs.  Cache hits carry the
-        cached answer's outcome (``found``) but zeroed work counters and
-        ``from_cache=True``: the work was done once, by the first
-        occurrence, so cloning the original counters verbatim would
-        double-count every duplicate when the per-query stats are
-        aggregated.
+        ``per_query`` entries line up with the inputs; a cache hit's entry
+        is :meth:`QueryStats.cache_hit` of the first occurrence's.
     """
     start = time.perf_counter()
     query_sets = [frozenset(int(item) for item in query) for query in queries]
@@ -58,17 +54,7 @@ def run_loop_batch(
             value, cached_stats = cache[query_set]
             stats.queries_deduplicated += 1
             results.append(set(value) if isinstance(value, set) else value)
-            stats.per_query.append(
-                replace(
-                    cached_stats,
-                    filters_generated=0,
-                    candidates_examined=0,
-                    unique_candidates=0,
-                    similarity_evaluations=0,
-                    repetitions_used=0,
-                    from_cache=True,
-                )
-            )
+            stats.per_query.append(cached_stats.cache_hit())
             continue
         value, query_stats = query_function(query_set)
         if deduplicate:

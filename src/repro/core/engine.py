@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import replace
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,7 +53,7 @@ from repro.core.inverted_index import InvertedFilterIndex, _segment_gather, _seg
 from repro.core.kernels import get_impl, new_counters
 from repro.core.mmap_store import LazyVectorStore
 from repro.core.paths import FilterBatch, PathGenerator, VectorBatch, default_max_depth
-from repro.core.stats import BatchQueryStats, BuildStats, KernelStats, QueryStats
+from repro.core.stats import BatchQueryStats, BuildStats, QueryStats
 from repro.core.thresholds import ThresholdPolicy
 from repro.hashing.pairwise import PathHasher
 from repro.hashing.random_source import derive_seed
@@ -933,42 +932,17 @@ class FilterEngine:
         """All distinct candidate ids colliding with the query, plus stats.
 
         This is the primitive used by the similarity join: the caller decides
-        which candidates to verify and against which predicate.
+        which candidates to verify and against which predicate.  It runs as
+        a one-query chunk of :meth:`query_candidates_arrays_batch` (so it
+        never drains a shard router's pending fan-out record); the chunk's
+        kernel counters are the query's.
         """
-        query_set = frozenset(int(item) for item in query)
-        stats = QueryStats()
-        if not query_set or not len(self._vectors):
-            return set(), stats
-        merged = self._query_candidates_csr(query_set, stats)
-        candidates = set(merged.tolist())
-        stats.unique_candidates = len(candidates)
-        return candidates, stats
-
-    def _query_candidates_csr(
-        self, query_set: frozenset[int], stats: QueryStats
-    ) -> np.ndarray:
-        """CSR-native candidate enumeration: one probe gather per repetition,
-        then a single sort/unique merge with a vectorised tombstone mask.
-        Returns the sorted array of distinct live candidate ids."""
-        parts: list[np.ndarray] = []
-        impl = get_impl()
-        counters = new_counters()
-        waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
-        probes = _WaveProbes(self, waves, exhaustive=True)
-        for repetition in range(self._repetitions):
-            ids = probes.stream(repetition, stats)
-            stats.candidates_examined += int(ids.size)
-            if ids.size:
-                parts.append(ids)
-        if not parts:
-            stats.kernel.add_counters(counters)
-            return _EMPTY_IDS
-        merged = impl.sorted_unique(np.concatenate(parts), counters)
-        removed = self._removed_lookup()
-        if removed is not None:
-            merged = merged[~removed[merged]]
-        stats.kernel.add_counters(counters)
-        return merged
+        (candidates,), chunk_stats = self._candidate_arrays_chunk(
+            [frozenset(int(item) for item in query)]
+        )
+        stats = chunk_stats.per_query[0]
+        stats.kernel = chunk_stats.kernel
+        return set(candidates.tolist()), stats
 
     # ------------------------------------------------------------------ #
     # Batched queries
@@ -1116,49 +1090,23 @@ class FilterEngine:
                 )
             outputs.append(chunk_runner(unique_sets[first : first + chunk_size]))
 
-        merged = BatchQueryStats(num_queries=len(query_sets))
+        merged = BatchQueryStats()
         unique_results: list[Any] = []
         unique_stats: list[QueryStats] = []
         for results, chunk_stats in outputs:
             unique_results.extend(results)
             unique_stats.extend(chunk_stats.per_query)
-            merged.distinct_filter_probes += chunk_stats.distinct_filter_probes
-            merged.duplicate_filter_probes += chunk_stats.duplicate_filter_probes
-            merged.generation_seconds += chunk_stats.generation_seconds
-            merged.verification_seconds += chunk_stats.verification_seconds
-            merged.merge_seconds += chunk_stats.merge_seconds
-            merged.shards_probed += chunk_stats.shards_probed
-            merged.kernel.add(chunk_stats.kernel)
+            merged.accumulate(chunk_stats)
 
         final_results: list[Any] = []
         answered: set[int] = set()
         for position in source:
             value = unique_results[position]
             final_results.append(set(value) if isinstance(value, set) else value)
-            if position in answered:
-                # A duplicate query answered from the batch cache: keep the
-                # answer's outcome but zero the work counters so per-query
-                # aggregation does not double-count the original execution.
-                merged.per_query.append(
-                    replace(
-                        unique_stats[position],
-                        filters_generated=0,
-                        candidates_examined=0,
-                        unique_candidates=0,
-                        similarity_evaluations=0,
-                        repetitions_used=0,
-                        shards_probed=0,
-                        from_cache=True,
-                        # replace() copies field references — a cached entry
-                        # must not share the original's mutable KernelStats.
-                        kernel=KernelStats(),
-                    )
-                )
-            else:
-                answered.add(position)
-                merged.per_query.append(
-                    replace(unique_stats[position], kernel=replace(unique_stats[position].kernel))
-                )
+            entry = unique_stats[position]
+            merged.per_query.append(entry.cache_hit() if position in answered else entry)
+            answered.add(position)
+        merged.num_queries = len(query_sets)
         merged.queries_deduplicated = len(query_sets) - len(unique_sets)
         if self._shard_router is not None:
             # Drain the router's per-worker accounting accrued by this

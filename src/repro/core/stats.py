@@ -4,34 +4,106 @@ The paper's evaluation is expressed in units of work (`n^ρ` filters and
 candidates), not seconds.  These dataclasses record exactly those quantities
 so that the benchmark harness can compare the measured work against the
 analytic predictions of :mod:`repro.theory`.
+
+Every record derives from :class:`StatsRecord`, which accumulates and
+round-trips all of them; each field's accumulate rule sits beside the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from dataclasses import Field, asdict, dataclass, field, fields, replace
+from itertools import zip_longest
+from typing import Any, ClassVar, Mapping, TypeVar
+
+_Record = TypeVar("_Record", bound="StatsRecord")
 
 
-def _known_fields(cls: type, payload: Mapping[str, Any], strict: bool) -> dict[str, Any]:
-    """Filter a payload down to the dataclass's fields.
+def _sum(mine: Any, theirs: Any) -> Any:
+    """The default accumulate rule: numbers add, bools OR, and lists add slot
+    by slot, growing to the longer list."""
+    if isinstance(mine, bool):
+        return mine or theirs
+    if isinstance(mine, list):
+        return [a + b for a, b in zip_longest(mine, theirs, fillvalue=0)]
+    return mine + theirs
 
-    With ``strict=True`` unknown keys raise :class:`ValueError` instead of
-    being dropped — persistence uses this so a file written by a newer (or
-    corrupted) version fails loudly rather than silently losing fields.
+
+def _union(mine: list[int], theirs: list[int]) -> list[int]:
+    return sorted(set(mine) | set(theirs))
+
+
+def _parse(kind: Any, value: Any, strict: bool) -> Any:
+    """``value`` parsed as a ``kind`` record if ``kind`` is a record type and
+    ``value`` a payload, else ``value`` itself."""
+    if isinstance(kind, type) and issubclass(kind, StatsRecord) and isinstance(value, Mapping):
+        return kind.from_dict(value, strict)
+    return value
+
+
+class StatsRecord:
+    """Base of the stats dataclasses: one accumulate and round-trip rule set.
+
+    ``field(metadata={"add": rule})`` gives a field the accumulate rule
+    ``rule(mine, theirs) -> merged`` (``None``: left alone), and
+    ``metadata={"items": Record}`` declares a list of nested records.
+    Otherwise the rule follows the value: nested records accumulate
+    recursively, numbers are summed, bools OR-ed and lists added slot by slot.
     """
-    known = set(cls.__dataclass_fields__)  # type: ignore[attr-defined]
-    if strict:
-        unknown = sorted(set(payload) - known)
-        if unknown:
+
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+
+    def add(self: _Record, other: _Record) -> None:
+        """Accumulate another record of the same type into this one (in place)."""
+        for spec in fields(self):
+            mine = getattr(self, spec.name)
+            if isinstance(mine, StatsRecord):
+                mine.add(getattr(other, spec.name))
+                continue
+            rule = spec.metadata.get("add", _sum)
+            if rule is not None:
+                setattr(self, spec.name, rule(mine, getattr(other, spec.name)))
+
+    def to_dict(self) -> dict[str, Any]:
+        """Plain-dict form (JSON-serialisable, nested records as dicts)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(
+        cls: type[_Record], payload: Mapping[str, Any], strict: bool = False
+    ) -> _Record:
+        """Inverse of :meth:`to_dict`.
+
+        Unknown keys are ignored by default; with ``strict=True`` they raise
+        :class:`ValueError` at every nesting level — persistence uses this so
+        a file written by a newer (or corrupted) version fails loudly rather
+        than silently losing fields.
+        """
+        specs = {spec.name: spec for spec in fields(cls)}
+        unknown = sorted(set(payload) - set(specs))
+        if strict and unknown:
             raise ValueError(
                 f"unknown {cls.__name__} fields {unknown}; "
-                f"expected a subset of {sorted(known)}"
+                f"expected a subset of {sorted(specs)}"
             )
-    return {key: value for key, value in payload.items() if key in known}
+        values: dict[str, Any] = {}
+        for name, value in payload.items():
+            if name not in specs:
+                continue
+            items = specs[name].metadata.get("items")
+            if items is not None:
+                values[name] = [_parse(items, entry, strict) for entry in value]
+            else:
+                values[name] = _parse(specs[name].default_factory, value, strict)
+        record = cls(**values)
+        record._check_parsed(payload)
+        return record
+
+    def _check_parsed(self, payload: Mapping[str, Any]) -> None:
+        """Post-parse hook: validate what :meth:`from_dict` built from ``payload``."""
 
 
 @dataclass
-class KernelStats:
+class KernelStats(StatsRecord):
     """Per-stage work counts reported by the hot-path kernels.
 
     Each field mirrors one slot of the kernel counter vector (see
@@ -62,14 +134,6 @@ class KernelStats:
     merge_rows: int = 0
     dedupe_hits: int = 0
 
-    def add(self, other: "KernelStats") -> None:
-        """Accumulate another kernel-stats record into this one (in place)."""
-        self.paths_extended += other.paths_extended
-        self.keys_folded += other.keys_folded
-        self.chain_probes += other.chain_probes
-        self.merge_rows += other.merge_rows
-        self.dedupe_hits += other.dedupe_hits
-
     def add_counters(self, counters: Any) -> None:
         """Fold a kernel counter vector (``int64[NUM_COUNTERS]``) in place.
 
@@ -82,37 +146,21 @@ class KernelStats:
         self.merge_rows += int(counters[3])
         self.dedupe_hits += int(counters[4])
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serialisable)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any], strict: bool = False) -> "KernelStats":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are ignored by default; with ``strict=True`` they raise
-        :class:`ValueError` (used by the persistence layer).
-        """
-        return cls(**_known_fields(cls, payload, strict))
-
-
-def _kernel_from_payload(payload: Any, strict: bool) -> KernelStats:
-    """Coerce a ``kernel`` payload entry back into :class:`KernelStats`."""
-    if isinstance(payload, KernelStats):
-        return payload
-    if payload is None:
-        return KernelStats()
-    return KernelStats.from_dict(payload, strict=strict)
-
 
 @dataclass
-class ShardFanoutStats:
+class ShardFanoutStats(StatsRecord):
     """Cross-shard execution accounting of the router-backed query mode.
 
     One slot per shard *worker* (a process or remote server owning a
     contiguous shard range), parallel lists so the record stays a flat,
     JSON-friendly dataclass.  A non-routed execution leaves every list
     empty — ``workers == 0`` means "no fan-out happened", not "one worker".
+
+    Accumulating (:meth:`add`) matches worker slots by position and grows
+    the record to the wider of the two, so folding a routed batch into a
+    fresh accumulator just adopts its shape.  Degradation markers
+    accumulate pessimistically, so a merged record never overstates what
+    was answered.
 
     Attributes
     ----------
@@ -145,15 +193,15 @@ class ShardFanoutStats:
         answer (empty for full answers); accumulating unions them.
     """
 
-    workers: int = 0
+    workers: int = field(default=0, metadata={"add": max})
     requests: list[int] = field(default_factory=list)
     rows: list[int] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     failures: list[int] = field(default_factory=list)
     respawns: list[int] = field(default_factory=list)
     aborts: list[int] = field(default_factory=list)
-    completeness: float = 1.0
-    shards_missing: list[int] = field(default_factory=list)
+    completeness: float = field(default=1.0, metadata={"add": min})
+    shards_missing: list[int] = field(default_factory=list, metadata={"add": _union})
 
     @classmethod
     def sized(cls, workers: int) -> "ShardFanoutStats":
@@ -168,44 +216,6 @@ class ShardFanoutStats:
             aborts=[0] * workers,
         )
 
-    def _resize(self, workers: int) -> None:
-        if workers <= self.workers:
-            return
-        grow = workers - len(self.requests)
-        self.requests.extend([0] * grow)
-        self.rows.extend([0] * grow)
-        self.seconds.extend([0.0] * grow)
-        self.failures.extend([0] * grow)
-        self.respawns.extend([0] * grow)
-        self.aborts.extend([0] * max(0, workers - len(self.aborts)))
-        self.workers = workers
-
-    def add(self, other: "ShardFanoutStats") -> None:
-        """Accumulate another fan-out record into this one (in place).
-
-        Worker slots are matched by position; the record grows to the wider
-        of the two, so folding a routed batch into a fresh accumulator just
-        adopts its shape.  Degradation markers accumulate pessimistically:
-        ``completeness`` keeps the minimum and ``shards_missing`` the
-        union, so a merged record never overstates what was answered.
-        """
-        self._resize(other.workers)
-        if len(self.aborts) < self.workers:
-            self.aborts.extend([0] * (self.workers - len(self.aborts)))
-        for worker in range(other.workers):
-            self.requests[worker] += other.requests[worker]
-            self.rows[worker] += other.rows[worker]
-            self.seconds[worker] += other.seconds[worker]
-            self.failures[worker] += other.failures[worker]
-            self.respawns[worker] += other.respawns[worker]
-            if worker < len(other.aborts):
-                self.aborts[worker] += other.aborts[worker]
-        self.completeness = min(self.completeness, other.completeness)
-        if other.shards_missing:
-            self.shards_missing = sorted(
-                set(self.shards_missing) | set(other.shards_missing)
-            )
-
     @property
     def total_requests(self) -> int:
         """Probe round-trips summed over all workers."""
@@ -216,62 +226,29 @@ class ShardFanoutStats:
         """Posting rows returned, summed over all workers."""
         return sum(self.rows)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serialisable)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(
-        cls, payload: Mapping[str, Any], strict: bool = False
-    ) -> "ShardFanoutStats":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are ignored by default; with ``strict=True`` they raise
-        :class:`ValueError` (used by the persistence layer).  The parallel
-        lists must agree with ``workers`` — a payload whose lists drifted
-        apart is corrupt, not merely stale.
-        """
-        fields = _known_fields(cls, payload, strict)
-        workers = int(fields.get("workers", 0))
-        record = cls(
-            workers=workers,
-            requests=[int(v) for v in fields.get("requests", [])],
-            rows=[int(v) for v in fields.get("rows", [])],
-            seconds=[float(v) for v in fields.get("seconds", [])],
-            failures=[int(v) for v in fields.get("failures", [])],
-            respawns=[int(v) for v in fields.get("respawns", [])],
+    def _check_parsed(self, payload: Mapping[str, Any]) -> None:
+        """The parallel lists must agree with ``workers`` — a payload whose
+        lists drifted apart is corrupt, not merely stale."""
+        if "aborts" not in payload:
             # Absent in records written before degraded-mode support:
-            # default to "no aborts, full answer" rather than rejecting.
-            aborts=[int(v) for v in fields.get("aborts", [0] * workers)],
-            completeness=float(fields.get("completeness", 1.0)),
-            shards_missing=sorted(int(v) for v in fields.get("shards_missing", [])),
-        )
+            # default to "no aborts" rather than rejecting.
+            self.aborts = [0] * self.workers
         for name in ("requests", "rows", "seconds", "failures", "respawns", "aborts"):
-            values = getattr(record, name)
-            if len(values) != record.workers:
+            values = getattr(self, name)
+            if len(values) != self.workers:
                 raise ValueError(
                     f"ShardFanoutStats payload is inconsistent: {name} has "
-                    f"{len(values)} entries for {record.workers} workers"
+                    f"{len(values)} entries for {self.workers} workers"
                 )
-        if not 0.0 <= record.completeness <= 1.0:
+        if not 0.0 <= self.completeness <= 1.0:
             raise ValueError(
                 f"ShardFanoutStats payload is inconsistent: completeness "
-                f"{record.completeness} is outside [0, 1]"
+                f"{self.completeness} is outside [0, 1]"
             )
-        return record
-
-
-def _fanout_from_payload(payload: Any, strict: bool) -> ShardFanoutStats:
-    """Coerce a ``fanout`` payload entry back into :class:`ShardFanoutStats`."""
-    if isinstance(payload, ShardFanoutStats):
-        return payload
-    if payload is None:
-        return ShardFanoutStats()
-    return ShardFanoutStats.from_dict(payload, strict=strict)
 
 
 @dataclass
-class BuildStats:
+class BuildStats(StatsRecord):
     """Statistics collected while building an index.
 
     ``build_seconds`` records the wall-clock time of the build;
@@ -296,39 +273,9 @@ class BuildStats:
             return 0.0
         return self.total_filters / self.num_vectors
 
-    def merge(self, other: "BuildStats") -> "BuildStats":
-        """Combine statistics from two builds (e.g. per-repetition builds)."""
-        merged_kernel = KernelStats()
-        merged_kernel.add(self.kernel)
-        merged_kernel.add(other.kernel)
-        return BuildStats(
-            num_vectors=max(self.num_vectors, other.num_vectors),
-            total_filters=self.total_filters + other.total_filters,
-            truncated_vectors=self.truncated_vectors + other.truncated_vectors,
-            repetitions=self.repetitions + other.repetitions,
-            build_seconds=self.build_seconds + other.build_seconds,
-            generation_batches=self.generation_batches + other.generation_batches,
-            kernel=merged_kernel,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serialisable)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any], strict: bool = False) -> "BuildStats":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are ignored by default; with ``strict=True`` they raise
-        :class:`ValueError` (used by the persistence layer).
-        """
-        fields = _known_fields(cls, payload, strict)
-        fields["kernel"] = _kernel_from_payload(fields.get("kernel"), strict)
-        return cls(**fields)
-
 
 @dataclass
-class QueryStats:
+class QueryStats(StatsRecord):
     """Statistics collected while answering one query.
 
     Attributes
@@ -358,9 +305,8 @@ class QueryStats:
         counter allowed to differ between RAM and mmap mode.
     from_cache:
         True when this entry describes a query answered from a batch's
-        duplicate-query cache: the result is the cached answer and the work
-        counters are zeroed, so aggregating ``per_query`` work never counts
-        the original execution twice.
+        duplicate-query cache (see :meth:`cache_hit`); accumulating leaves
+        it alone.
     kernel:
         Per-stage work counts reported by the hot-path kernels this query
         drove (path extension, CSR merges); see :class:`KernelStats`.
@@ -373,43 +319,27 @@ class QueryStats:
     found: bool = False
     repetitions_used: int = 0
     shards_probed: int = 0
-    from_cache: bool = False
+    from_cache: bool = field(default=False, metadata={"add": None})
     kernel: KernelStats = field(default_factory=KernelStats)
-
-    def add(self, other: "QueryStats") -> None:
-        """Accumulate another query's statistics into this one (in place)."""
-        self.filters_generated += other.filters_generated
-        self.candidates_examined += other.candidates_examined
-        self.unique_candidates += other.unique_candidates
-        self.similarity_evaluations += other.similarity_evaluations
-        self.found = self.found or other.found
-        self.repetitions_used += other.repetitions_used
-        self.shards_probed += other.shards_probed
-        self.kernel.add(other.kernel)
 
     @property
     def total_work(self) -> int:
         """A single work figure: filters generated plus candidates examined."""
         return self.filters_generated + self.candidates_examined
 
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serialisable)."""
-        return asdict(self)
+    def cache_hit(self) -> "QueryStats":
+        """This entry as a duplicate query answered from the batch cache.
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any], strict: bool = False) -> "QueryStats":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are ignored by default; with ``strict=True`` they raise
-        :class:`ValueError` (used by the persistence layer).
+        The answer's outcome (``found``) is kept, every work counter is zero
+        and the kernel record is fresh, with ``from_cache=True``: the work
+        was done once, by the first occurrence, so aggregating ``per_query``
+        work never counts the original execution twice.
         """
-        fields = _known_fields(cls, payload, strict)
-        fields["kernel"] = _kernel_from_payload(fields.get("kernel"), strict)
-        return cls(**fields)
+        return QueryStats(found=self.found, from_cache=True)
 
 
 @dataclass
-class BatchQueryStats:
+class BatchQueryStats(StatsRecord):
     """Statistics for one ``query_batch`` / ``query_candidates_batch`` call.
 
     The per-query entries reflect the work the *batched* execution actually
@@ -468,7 +398,9 @@ class BatchQueryStats:
     """
 
     num_queries: int = 0
-    per_query: list[QueryStats] = field(default_factory=list)
+    per_query: list[QueryStats] = field(
+        default_factory=list, metadata={"add": None, "items": QueryStats}
+    )
     distinct_filter_probes: int = 0
     duplicate_filter_probes: int = 0
     queries_deduplicated: int = 0
@@ -510,26 +442,13 @@ class BatchQueryStats:
     def accumulate(self, other: "BatchQueryStats", per_query: bool = False) -> None:
         """Fold another batch's counters into this one, in place.
 
-        The in-place counterpart of :meth:`merge` for long-running
-        aggregation (the serving layer folds every coalesced engine call
-        into one accumulator for ``/stats``): all scalar counters and phase
-        timings are added, while the ``per_query`` list is **not** extended
-        unless explicitly requested — an accumulator that lives for the
-        process lifetime must stay bounded.
+        :meth:`add` for long-running aggregation (the serving layer folds
+        every coalesced engine call into one accumulator for ``/stats``):
+        all scalar counters and phase timings are added, while the
+        ``per_query`` list is **not** extended unless explicitly requested —
+        an accumulator that lives for the process lifetime must stay bounded.
         """
-        self.num_queries += other.num_queries
-        self.distinct_filter_probes += other.distinct_filter_probes
-        self.duplicate_filter_probes += other.duplicate_filter_probes
-        self.queries_deduplicated += other.queries_deduplicated
-        self.elapsed_seconds += other.elapsed_seconds
-        self.generation_seconds += other.generation_seconds
-        self.verification_seconds += other.verification_seconds
-        self.merge_seconds += other.merge_seconds
-        self.shards_probed += other.shards_probed
-        self.minor_page_faults += other.minor_page_faults
-        self.major_page_faults += other.major_page_faults
-        self.kernel.add(other.kernel)
-        self.fanout.add(other.fanout)
+        self.add(other)
         if per_query:
             self.per_query.extend(other.per_query)
 
@@ -540,111 +459,8 @@ class BatchQueryStats:
         :meth:`to_dict` reports except the unbounded ``per_query`` list,
         plus the derived ``dedupe_hit_rate`` and ``queries_per_second``.
         """
-        payload = asdict(self)
+        payload = asdict(replace(self, per_query=[]))
         del payload["per_query"]
         payload["dedupe_hit_rate"] = self.dedupe_hit_rate
         payload["queries_per_second"] = self.queries_per_second
         return payload
-
-    def merge(self, other: "BatchQueryStats") -> "BatchQueryStats":
-        """Combine two batch results (e.g. chunks of a larger batch)."""
-        merged_kernel = KernelStats()
-        merged_kernel.add(self.kernel)
-        merged_kernel.add(other.kernel)
-        merged_fanout = ShardFanoutStats()
-        merged_fanout.add(self.fanout)
-        merged_fanout.add(other.fanout)
-        return BatchQueryStats(
-            num_queries=self.num_queries + other.num_queries,
-            per_query=self.per_query + other.per_query,
-            distinct_filter_probes=self.distinct_filter_probes + other.distinct_filter_probes,
-            duplicate_filter_probes=self.duplicate_filter_probes
-            + other.duplicate_filter_probes,
-            queries_deduplicated=self.queries_deduplicated + other.queries_deduplicated,
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            generation_seconds=self.generation_seconds + other.generation_seconds,
-            verification_seconds=self.verification_seconds + other.verification_seconds,
-            merge_seconds=self.merge_seconds + other.merge_seconds,
-            shards_probed=self.shards_probed + other.shards_probed,
-            minor_page_faults=self.minor_page_faults + other.minor_page_faults,
-            major_page_faults=self.major_page_faults + other.major_page_faults,
-            kernel=merged_kernel,
-            fanout=merged_fanout,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-serialisable, nested per-query stats)."""
-        payload = asdict(self)
-        payload["per_query"] = [stats.to_dict() for stats in self.per_query]
-        return payload
-
-    @classmethod
-    def from_dict(
-        cls, payload: Mapping[str, Any], strict: bool = False
-    ) -> "BatchQueryStats":
-        """Inverse of :meth:`to_dict`.
-
-        Unknown keys are ignored by default; with ``strict=True`` they raise
-        :class:`ValueError` (used by the persistence layer).
-        """
-        fields = _known_fields(cls, payload, strict)
-        fields["per_query"] = [
-            QueryStats.from_dict(entry, strict=strict)
-            for entry in fields.get("per_query", [])
-        ]
-        fields["kernel"] = _kernel_from_payload(fields.get("kernel"), strict)
-        fields["fanout"] = _fanout_from_payload(fields.get("fanout"), strict)
-        return cls(**fields)
-
-
-@dataclass
-class AggregatedQueryStats:
-    """Aggregate of many :class:`QueryStats`, as produced by the harness."""
-
-    num_queries: int = 0
-    total_filters_generated: int = 0
-    total_candidates_examined: int = 0
-    total_unique_candidates: int = 0
-    total_similarity_evaluations: int = 0
-    num_found: int = 0
-    per_query: list[QueryStats] = field(default_factory=list)
-
-    def record(self, stats: QueryStats) -> None:
-        """Add one query's statistics to the aggregate."""
-        self.num_queries += 1
-        self.total_filters_generated += stats.filters_generated
-        self.total_candidates_examined += stats.candidates_examined
-        self.total_unique_candidates += stats.unique_candidates
-        self.total_similarity_evaluations += stats.similarity_evaluations
-        self.num_found += 1 if stats.found else 0
-        self.per_query.append(stats)
-
-    @property
-    def mean_candidates(self) -> float:
-        """Average candidates examined per query."""
-        if self.num_queries == 0:
-            return 0.0
-        return self.total_candidates_examined / self.num_queries
-
-    @property
-    def mean_filters(self) -> float:
-        """Average filters generated per query."""
-        if self.num_queries == 0:
-            return 0.0
-        return self.total_filters_generated / self.num_queries
-
-    @property
-    def mean_work(self) -> float:
-        """Average total work (filters + candidates) per query."""
-        if self.num_queries == 0:
-            return 0.0
-        return (
-            self.total_filters_generated + self.total_candidates_examined
-        ) / self.num_queries
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of queries that found an acceptable vector."""
-        if self.num_queries == 0:
-            return 0.0
-        return self.num_found / self.num_queries

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.registry import all_rules, get_rule
+from repro.analysis.rules import rpl005_stats_contract as rpl005
 
 CASES = [
     # (rule id, bad fixture, good fixture, pretended repo location)
@@ -106,8 +107,9 @@ def test_rpl004_all_three_detections(fixture_module):
     assert any("postings-store field" in m for m in messages)
 
 
-def test_rpl005_drift_detection(fixture_module):
+def test_rpl005_flags_contract_field_no_record_declares(fixture_module, monkeypatch):
     rule = get_rule("RPL005")
-    module = fixture_module("rpl005_drift.py", "src/repro/core/stats.py")
+    monkeypatch.setitem(rpl005.SURFACE_CONTRACT, "probe", frozenset({"brand_new_field"}))
+    module = fixture_module("rpl005_good.py", "src/repro/core/fixture.py")
     messages = [f.message for f in rule.check(module)]
-    assert any("brand_new_field" in m for m in messages)
+    assert any("'brand_new_field' of 'probe' is declared by no stats record" in m for m in messages)

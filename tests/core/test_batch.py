@@ -179,6 +179,17 @@ class TestBatchSingleEquivalence:
                 stats = index.query_batch(batch_queries, mode=mode, batch_size=batch_size)[1]
                 assert stats.kernel == reference.kernel, (store, mode)
 
+    def test_query_candidates_is_a_one_query_chunk(self, store_views, batch_queries):
+        """Ids, every ``QueryStats`` field and the ``KernelStats`` agree with
+        a one-query ``query_candidates_batch``, on every store, after removals."""
+        for store, index in store_views.items():
+            for query in batch_queries:
+                candidates, stats = index.query_candidates(query)
+                (expected,), batch_stats = index.query_candidates_batch([query])
+                assert candidates == expected, store
+                assert _work(stats) == _work(batch_stats.per_query[0]), store
+                assert stats.kernel == batch_stats.kernel, store
+
     def test_deduplicate_off_matches(self, built_indexes, batch_queries):
         index = built_indexes["skew_adaptive"]
         with_dedupe, _ = index.query_batch(batch_queries, deduplicate=True)
@@ -300,6 +311,16 @@ class TestBatchStatsAccounting:
             True,
             False,
         ]
+
+    def test_run_loop_batch_cache_hit_owns_no_shards_or_kernel(self):
+        def query_function(query_set):
+            return None, QueryStats(shards_probed=2, kernel=KernelStats(merge_rows=5))
+
+        _results, stats = run_loop_batch(query_function, [{1}, {1}])
+        first, hit = stats.per_query
+        assert hit.shards_probed == 0
+        assert hit.kernel == KernelStats()
+        assert hit.kernel is not first.kernel
 
     def test_engine_batch_duplicates_marked_from_cache(self, built_indexes, batch_dataset):
         index = built_indexes["skew_adaptive"]
