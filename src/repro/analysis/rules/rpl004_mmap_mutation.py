@@ -40,9 +40,10 @@ PROTECTED_FIELDS = frozenset(
 )
 
 #: Functions allowed to rebuild postings arrays in place: the bulk
-#: compaction paths, which by contract only ever run on RAM-mode stores.
+#: compaction paths and the slot permutation, which by contract only ever
+#: run on RAM-mode stores.
 SANCTIONED_FUNCTIONS = frozenset(
-    {"compact", "_compact", "_compact_with_chains", "to_sorted_state"}
+    {"compact", "_compact", "_compact_with_chains", "_permute_slots"}
 )
 
 

@@ -23,19 +23,27 @@ overlay without resolving slots (:meth:`InvertedFilterIndex.add` is the
 tuple entry point for a single vector), and :meth:`InvertedFilterIndex.
 compact` concatenates the chunks and folds them into the CSR arrays with one
 stable sort over the folded keys plus ``np.unique`` style group detection —
-no per-posting dict lookups.  Slots end up ordered
-by folded key, which doubles as the *probe table*: lookups (scalar and the
-batched :meth:`InvertedFilterIndex.probe_batch`) binary-search the sorted
-key array instead of going through a Python dict.  Because a 64-bit key
-could in principle collide, stored paths are compared exactly (vectorised
-during compaction and probing) before a slot is accepted, so lookups remain
-collision-free like the original dict-of-tuples; genuinely colliding keys
-are detected during compaction and handled by an exact chained fallback.
+no per-posting dict lookups.
+
+Every store keeps its slots in ascending folded-key order: compaction
+produces that order, and :meth:`InvertedFilterIndex.from_state` permutes
+slots loaded in any other order (v1/v2 files) into it once.  The key array
+therefore *is* the probe table, for this store and for every format v3
+shard slice alike, so one resolver answers them all: :func:`probe_table`
+(batched probes plus the posting gather) and :func:`find_slot` (one path)
+binary-search a :class:`ShardSlice`; :func:`probe_by_label` resolves probes
+group by group against several tables and :func:`scatter_parts` merges the
+groups back into probe order.  The memory-mapped store and the shard worker
+use the same four functions.  Because a 64-bit key could in principle
+collide, stored paths are compared exactly (vectorised during compaction
+and probing) before a slot is accepted, so lookups remain collision-free
+like the original dict-of-tuples; genuinely colliding keys are detected
+during compaction and handled by an exact chained fallback.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -85,25 +93,241 @@ def _segments_differ(
     return differ
 
 
+def _permute_slots(
+    flat: np.ndarray, offsets: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A CSR array's rows reordered: output row ``k`` is input row ``order[k]``."""
+    lengths = np.diff(offsets)[order]
+    new_offsets = np.zeros(order.size + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(lengths, out=new_offsets[1:])
+    return _segment_gather(flat, offsets[order], lengths), new_offsets
+
+
+class ShardSlice:
+    """One key-sorted postings table: a format v3 shard slice or a RAM store.
+
+    Slot ``k`` stores the path ``path_items[path_offsets[k]:path_offsets[k +
+    1]]`` with folded key ``keys[k]`` and the posting list
+    ``posting_ids[posting_offsets[k]:posting_offsets[k + 1]]``; ``keys`` is
+    ascending, and ``has_duplicate_keys`` says whether two slots share a key
+    (a forced collision), which the resolver must then walk.
+
+    The arrays are held as base-class ``ndarray`` views: ``np.asarray`` of
+    an ``np.memmap`` shares its pages and its laziness without a copy, and
+    sheds the subclass whose Python-level ``__array_finalize__`` /
+    ``__getitem__`` would otherwise run on every intermediate array of
+    every probe.
+    """
+
+    __slots__ = (
+        "keys",
+        "path_items",
+        "path_offsets",
+        "posting_ids",
+        "posting_offsets",
+        "has_duplicate_keys",
+    )
+
+    def __init__(
+        self,
+        keys: np.ndarray,
+        path_items: np.ndarray,
+        path_offsets: np.ndarray,
+        posting_ids: np.ndarray,
+        posting_offsets: np.ndarray,
+        has_duplicate_keys: bool,
+    ) -> None:
+        self.keys = np.asarray(keys)
+        self.path_items = np.asarray(path_items)
+        self.path_offsets = np.asarray(path_offsets)
+        self.posting_ids = np.asarray(posting_ids)
+        self.posting_offsets = np.asarray(posting_offsets)
+        self.has_duplicate_keys = bool(has_duplicate_keys)
+
+    @property
+    def num_slots(self) -> int:
+        return self.keys.size
+
+    @property
+    def num_postings(self) -> int:
+        return int(self.posting_offsets[-1]) if self.posting_offsets.size else 0
+
+
+#: One resolved probe group: ``(members, lengths, ids)`` — the probe
+#: positions, their posting counts, and their concatenated posting ids.
+ProbePart = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _resolve_slots(
+    table: ShardSlice,
+    keys: np.ndarray,
+    probe_items: np.ndarray,
+    probe_starts: np.ndarray,
+    probe_lengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The slot of each probe in a key-sorted table; ``(slots, stored)``.
+
+    Probe ``k`` is the path ``probe_items[probe_starts[k]:][:probe_lengths[k]]``
+    with folded key ``keys[k]``.  ``stored[k]`` is whether that exact path
+    has a slot (then ``slots[k]``); stored paths are compared item by item
+    (vectorised), so a 64-bit key collision never surfaces a foreign slot,
+    and a table with duplicated keys (forced collisions) falls back to an
+    exact forward scan over the equal-key run.  Slot indices are positions
+    in the key array directly, so nothing proportional to the table is
+    materialised — safe over ``np.memmap`` views.
+    """
+    store_keys = table.keys
+    if store_keys.size == 0:
+        return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
+    positions = np.searchsorted(store_keys, keys)
+    clipped = np.minimum(positions, store_keys.size - 1)
+    found = store_keys[clipped] == keys
+    slots = np.where(found, clipped, 0)
+
+    path_items = table.path_items
+    path_offsets = table.path_offsets
+    slot_lengths = path_offsets[slots + 1] - path_offsets[slots]
+    stored = found & (slot_lengths == probe_lengths)
+    check = np.flatnonzero(stored)
+    stored[check] = ~_segments_differ(
+        path_items,
+        path_offsets[slots[check]],
+        probe_items,
+        probe_starts[check],
+        probe_lengths[check],
+    )
+
+    if table.has_duplicate_keys:
+        for probe in np.flatnonzero(found & ~stored).tolist():
+            key = keys[probe]
+            start = int(probe_starts[probe])
+            length = int(probe_lengths[probe])
+            target = probe_items[start : start + length]
+            position = int(positions[probe])
+            while position < store_keys.size and store_keys[position] == key:
+                slot_start = int(path_offsets[position])
+                slot_end = int(path_offsets[position + 1])
+                if slot_end - slot_start == length and np.array_equal(
+                    path_items[slot_start:slot_end], target
+                ):
+                    slots[probe] = position
+                    stored[probe] = True
+                    break
+                position += 1
+    return slots, stored
+
+
+def probe_table(
+    table: ShardSlice,
+    keys: np.ndarray,
+    probe_items: np.ndarray,
+    probe_starts: np.ndarray,
+    probe_lengths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve probes against one key-sorted table; ``(lengths, ids)``.
+
+    ``lengths[k]`` is probe ``k``'s posting count (0 when its path is not
+    stored) and ``ids`` the concatenated posting lists in probe order, as
+    ``int64`` whatever width the table stores.
+    """
+    if table.keys.size == 0:
+        return np.zeros(keys.size, dtype=np.int64), np.empty(0, dtype=ID_DTYPE)
+    slots, stored = _resolve_slots(table, keys, probe_items, probe_starts, probe_lengths)
+    posting_offsets = table.posting_offsets
+    lengths = np.where(stored, posting_offsets[slots + 1] - posting_offsets[slots], 0)
+    ids = _segment_gather(table.posting_ids, posting_offsets[slots], lengths)
+    return lengths, ids.astype(ID_DTYPE, copy=False)
+
+
+def find_slot(table: ShardSlice, key: int, items: Sequence[int] | np.ndarray) -> int | None:
+    """The slot storing exactly the path ``items`` (folded key ``key``), or None.
+
+    Unlike a probe, this tells a stored path with an empty posting list
+    apart from a missing one.
+    """
+    items = np.ascontiguousarray(items, dtype=ITEM_DTYPE)
+    slots, stored = _resolve_slots(
+        table,
+        np.asarray([key], dtype=KEY_DTYPE),
+        items,
+        np.zeros(1, dtype=OFFSET_DTYPE),
+        np.asarray([items.size], dtype=OFFSET_DTYPE),
+    )
+    return int(slots[0]) if stored[0] else None
+
+
+def probe_by_label(
+    labels: np.ndarray,
+    table_of: Callable[[int], ShardSlice],
+    keys: np.ndarray,
+    probe_items: np.ndarray,
+    probe_offsets: np.ndarray,
+) -> list[ProbePart]:
+    """Resolve CSR probes group by group; one :data:`ProbePart` per label.
+
+    Probes sharing ``labels[k]`` resolve together against the table
+    ``table_of(label)``, which is called once per distinct label, in
+    ascending label order, right before that group resolves — so a
+    callback that raises stops the work between groups.  Each part's
+    ``members`` are ascending probe positions; :func:`scatter_parts` merges
+    the parts back into probe order.
+    """
+    if labels.size == 0:
+        return []
+    probe_starts = probe_offsets[:-1]
+    probe_lengths = np.diff(probe_offsets)
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    edges = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), labels.size]
+    parts = []
+    for first, last in zip(edges, edges[1:]):
+        members = order[first:last]
+        lengths, ids = probe_table(
+            table_of(int(ordered[first])),
+            keys[members],
+            probe_items,
+            probe_starts[members],
+            probe_lengths[members],
+        )
+        parts.append((members, lengths, ids))
+    return parts
+
+
+def scatter_parts(num_probes: int, parts: Sequence[ProbePart]) -> tuple[np.ndarray, np.ndarray]:
+    """Merge resolved probe groups back into probe order; ``(ids, offsets)``.
+
+    Probes in no part answer zero postings; probe ``k``'s postings end up
+    at ``ids[offsets[k]:offsets[k + 1]]``.
+    """
+    per_probe = np.zeros(num_probes, dtype=OFFSET_DTYPE)
+    for members, lengths, _ids in parts:
+        per_probe[members] = lengths
+    offsets = np.zeros(num_probes + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(per_probe, out=offsets[1:])
+    ids = np.empty(int(offsets[-1]), dtype=ID_DTYPE)
+    for members, lengths, part_ids in parts:
+        if part_ids.size:
+            destination = np.arange(part_ids.size, dtype=np.int64) + np.repeat(
+                offsets[members] - (np.cumsum(lengths) - lengths), lengths
+            )
+            ids[destination] = part_ids
+    return ids, offsets
+
+
 class InvertedFilterIndex:
     """Maps each filter to the sorted list of vector ids that chose it."""
 
-    is_sharded = False
-
     def __init__(self) -> None:
-        # Compacted (frozen) slots: CSR arrays over paths and postings,
-        # ordered by folded key after a bulk compact.
+        # Compacted (frozen) slots: CSR arrays over paths and postings, in
+        # ascending folded-key order (the store's invariant), so the key
+        # array doubles as the probe table.  ``_has_duplicate_keys`` records
+        # whether any two slots share a 64-bit key (forced collisions),
+        # which makes the resolver walk equal-key runs.
         self._path_items = np.empty(0, dtype=np.int64)
         self._path_offsets = np.zeros(1, dtype=np.int64)
         self._path_keys = np.empty(0, dtype=np.uint64)
         self._posting_ids = np.empty(0, dtype=np.int64)
         self._posting_offsets = np.zeros(1, dtype=np.int64)
-        # Probe tables: the slot keys in sorted order plus the permutation
-        # mapping sorted positions back to slots.  ``_has_duplicate_keys``
-        # records whether any two slots share a 64-bit key (forced
-        # collisions), which switches probing to the exact chained path.
-        self._sorted_keys = np.empty(0, dtype=np.uint64)
-        self._key_order = np.empty(0, dtype=np.int64)
         self._has_duplicate_keys = False
         # Append-only overlay: array chunks ``(vector ids, keys, path items,
         # path offsets)``, one row per posting added since the last
@@ -318,9 +542,6 @@ class InvertedFilterIndex:
         self._posting_ids = ids_sorted
         self._posting_offsets = np.zeros(starts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=self._posting_offsets[1:])
-        # Slots are in key order, so the probe table is the identity view.
-        self._sorted_keys = self._path_keys
-        self._key_order = np.arange(starts.size, dtype=np.int64)
         self._has_duplicate_keys = False
         self._pending = []
 
@@ -383,9 +604,9 @@ class InvertedFilterIndex:
         first-appearance (stream) order — the same order the probe chain
         walks — and counts one ``chain_probes`` unit per representative
         comparison.  Slots come out ordered by key with equal-key runs in
-        stream order, so the probe tables are the identity permutation, and
-        posting lists stay in original stream order exactly as the clean
-        path produces them.
+        stream order — the order the resolver walks a run in — and posting
+        lists stay in original stream order exactly as the clean path
+        produces them.
         """
         num_groups = int(group_ids[-1]) + 1
         dirty_mask = np.zeros(num_groups, dtype=bool)
@@ -440,18 +661,8 @@ class InvertedFilterIndex:
         posting_counts = np.bincount(entry_slot, minlength=num_slots)
         self._posting_offsets = np.zeros(num_slots + 1, dtype=np.int64)
         np.cumsum(posting_counts, out=self._posting_offsets[1:])
-        self._sorted_keys = self._path_keys
-        self._key_order = np.arange(num_slots, dtype=np.int64)
         self._has_duplicate_keys = True
         self._pending = []
-
-    def _build_probe_tables(self) -> None:
-        self._key_order = np.argsort(self._path_keys, kind="stable").astype(np.int64)
-        self._sorted_keys = self._path_keys[self._key_order]
-        self._has_duplicate_keys = bool(
-            self._sorted_keys.size
-            and np.any(self._sorted_keys[1:] == self._sorted_keys[:-1])
-        )
 
     # ------------------------------------------------------------------ #
     # Serialisation
@@ -472,39 +683,13 @@ class InvertedFilterIndex:
         }
 
     def to_sorted_state(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """The state with slots stably re-ordered by folded key, plus keys.
+        """:meth:`to_state` plus the slot-aligned folded keys.
 
-        This is the slot order format v3 requires on disk (shard slices must
-        be key-sorted so the mapped key arrays double as probe tables).
-        After a vectorised bulk compaction the store already satisfies it
-        and the live arrays are returned as-is; stores in another order
-        (loaded from older formats, or rebuilt by the chained-collision
-        fallback) are stably permuted, which preserves the relative order of
-        equal-key slots — probes that walk an equal-key run therefore visit
-        slots in the same order before and after.
+        Slots are always in ascending key order, the order format v3
+        requires on disk (shard slices must be key-sorted so the mapped key
+        arrays double as probe tables).
         """
-        self.compact()
-        num_slots = self._path_keys.size
-        if np.array_equal(self._key_order, np.arange(num_slots, dtype=np.int64)):
-            return self.to_state(), self._path_keys
-        order = self._key_order
-        path_lengths = np.diff(self._path_offsets)[order]
-        posting_lengths = np.diff(self._posting_offsets)[order]
-        path_offsets = np.zeros(num_slots + 1, dtype=np.int64)
-        np.cumsum(path_lengths, out=path_offsets[1:])
-        posting_offsets = np.zeros(num_slots + 1, dtype=np.int64)
-        np.cumsum(posting_lengths, out=posting_offsets[1:])
-        state = {
-            "path_items": _segment_gather(
-                self._path_items, self._path_offsets[order], path_lengths
-            ),
-            "path_offsets": path_offsets,
-            "posting_ids": _segment_gather(
-                self._posting_ids, self._posting_offsets[order], posting_lengths
-            ),
-            "posting_offsets": posting_offsets,
-        }
-        return state, self._sorted_keys
+        return self.to_state(), self._path_keys
 
     @classmethod
     def from_state(
@@ -512,18 +697,18 @@ class InvertedFilterIndex:
     ) -> "InvertedFilterIndex":
         """Rebuild an index from :meth:`to_state` arrays, validating them.
 
-        Without ``keys``, the folded path keys are re-derived from the
-        stored paths with the vectorised
+        Without ``keys`` (formats v1/v2), the folded path keys are
+        re-derived from the stored paths with the vectorised
         :func:`~repro.hashing.pairwise.fold_paths_csr` (one array pass per
-        recursion level) and the sorted probe tables are rebuilt with a
-        single argsort — files written before the CSR-native probe path
-        (whose slots are in first-registration order rather than key order)
-        load through exactly the same code.  With ``keys`` (format v3 stores
-        them, already slot-aligned and ascending), the re-fold and the
-        argsort are both skipped: the key array is adopted as the probe
-        table directly, which is what makes the v3 RAM load fast.  Raises
-        :class:`ValueError` on missing arrays, malformed offsets, mismatched
-        array lengths, negative vector ids, or unsorted adopted keys.
+        recursion level) and, when the file holds its slots in another
+        order (v2 writes them in path order), the slots are stably permuted
+        into key order once — equal-key slots keep their file order, which
+        is the order the resolver walks an equal-key run in.  With ``keys``
+        (format v3 stores them, already slot-aligned and ascending), the
+        re-fold and the permutation are both skipped, which is what makes
+        the v3 RAM load fast.  Raises :class:`ValueError` on missing arrays,
+        malformed offsets, mismatched array lengths, negative vector ids, or
+        unsorted adopted keys.
         """
         missing = [name for name in STATE_ARRAY_NAMES if name not in state]
         if missing:
@@ -549,28 +734,31 @@ class InvertedFilterIndex:
         if path_items.size and int(path_items.min()) < 0:
             raise ValueError("path items must be non-negative")
 
-        index = cls()
-        index._path_items = path_items
-        index._path_offsets = path_offsets
-        index._posting_ids = posting_ids
-        index._posting_offsets = posting_offsets
         if keys is None:
-            index._path_keys = fold_paths_csr(path_items, path_offsets)
-            index._build_probe_tables()
+            keys = fold_paths_csr(path_items, path_offsets)
+            if np.any(keys[1:] < keys[:-1]):
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                path_items, path_offsets = _permute_slots(path_items, path_offsets, order)
+                posting_ids, posting_offsets = _permute_slots(
+                    posting_ids, posting_offsets, order
+                )
         else:
             keys = np.ascontiguousarray(keys, dtype=np.uint64)
             if keys.size != num_slots:
                 raise ValueError(
                     f"postings state stores {num_slots} filters but {keys.size} keys"
                 )
-            if keys.size > 1 and np.any(keys[1:] < keys[:-1]):
+            if np.any(keys[1:] < keys[:-1]):
                 raise ValueError("adopted path keys must be in ascending order")
-            index._path_keys = keys
-            index._sorted_keys = keys
-            index._key_order = np.arange(num_slots, dtype=np.int64)
-            index._has_duplicate_keys = bool(
-                keys.size and np.any(keys[1:] == keys[:-1])
-            )
+
+        index = cls()
+        index._path_items = path_items
+        index._path_offsets = path_offsets
+        index._path_keys = keys
+        index._posting_ids = posting_ids
+        index._posting_offsets = posting_offsets
+        index._has_duplicate_keys = bool(np.any(keys[1:] == keys[:-1]))
         index._total_entries = int(posting_ids.size)
         return index
 
@@ -583,17 +771,17 @@ class InvertedFilterIndex:
         end = int(self._path_offsets[slot + 1])
         return tuple(self._path_items[start:end].tolist())
 
-    def _slot_for(self, path: Path, key: int) -> int | None:
-        """The compacted slot storing ``path``, or ``None``.  Compacts."""
+    def _table(self) -> ShardSlice:
+        """The compacted store as one resolver table.  Compacts."""
         self.compact()
-        sorted_keys = self._sorted_keys
-        position = int(np.searchsorted(sorted_keys, np.uint64(key)))
-        while position < sorted_keys.size and int(sorted_keys[position]) == key:
-            slot = int(self._key_order[position])
-            if self._path_at(slot) == path:
-                return slot
-            position += 1
-        return None
+        return ShardSlice(
+            self._path_keys,
+            self._path_items,
+            self._path_offsets,
+            self._posting_ids,
+            self._posting_offsets,
+            self._has_duplicate_keys,
+        )
 
     def lookup(self, path: Path) -> list[int]:
         """Vector ids that chose ``path`` (empty list if none)."""
@@ -606,22 +794,12 @@ class InvertedFilterIndex:
         The generators return the keys alongside the paths, so query probes
         use this to skip re-folding.
         """
-        slot = self._slot_for(path, key)
+        slot = find_slot(self._table(), key, path)
         if slot is None:
             return []
         start = int(self._posting_offsets[slot])
         end = int(self._posting_offsets[slot + 1])
         return self._posting_ids[start:end].tolist()
-
-    def count_probe_shards(self, keys: Sequence[int] | np.ndarray) -> int:
-        """Distinct shards the probe keys touch: 1 (the whole store) or 0.
-
-        Interface parity with
-        :class:`~repro.core.mmap_store.ShardedInvertedFilterIndex`, which
-        routes keys through its manifest fences; the in-memory store is one
-        shard.
-        """
-        return 1 if len(keys) else 0
 
     def probe_batch(
         self,
@@ -662,61 +840,20 @@ class InvertedFilterIndex:
             probe key routes to — all zeros here, since the in-memory store
             is a single shard — so callers account shard fan-out from the
             probe itself instead of re-routing the same keys.  This is the
-            query hot path: one ``searchsorted`` resolves the whole probe
-            set against the sorted key table, and the probes arrive as the
-            arrays the generators produced — no per-path Python object.
+            query hot path: one :func:`probe_table` call resolves the whole
+            probe set against the sorted key table, and the probes arrive as
+            the arrays the generators produced — no per-path Python object.
         """
-        self.compact()
-        num_probes = len(probe_offsets) - 1
-        empty = np.empty(0, dtype=np.int64)
-        route = np.zeros(num_probes, dtype=np.int64)
-        if num_probes == 0:
-            return empty, np.zeros(1, dtype=np.int64), route
-        keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
-        sorted_keys = self._sorted_keys
-        if sorted_keys.size == 0:
-            return empty, np.zeros(num_probes + 1, dtype=np.int64), route
-
-        positions = np.searchsorted(sorted_keys, keys_arr)
-        clipped = np.minimum(positions, sorted_keys.size - 1)
-        found = sorted_keys[clipped] == keys_arr
-        slots = np.where(found, self._key_order[clipped], 0)
-
-        # Exact path verification, vectorised: lengths first, then items.
-        probe_lengths = np.diff(probe_offsets)
-        slot_lengths = self._path_offsets[slots + 1] - self._path_offsets[slots]
-        match = found & (slot_lengths == probe_lengths)
-        check = np.flatnonzero(match)
-        match[check] = ~_segments_differ(
-            self._path_items,
-            self._path_offsets[slots[check]],
+        lengths, ids = probe_table(
+            self._table(),
+            np.ascontiguousarray(keys, dtype=KEY_DTYPE),
             probe_items,
-            probe_offsets[check],
-            probe_lengths[check],
+            probe_offsets[:-1],
+            np.diff(probe_offsets),
         )
-
-        if self._has_duplicate_keys:
-            # Slots with shared keys (forced collisions) need the chained
-            # scan: re-resolve every probe whose key exists in the table but
-            # whose first-position slot did not verify.
-            for probe in np.flatnonzero(found & ~match).tolist():
-                path = tuple(
-                    probe_items[probe_offsets[probe] : probe_offsets[probe + 1]].tolist()
-                )
-                slot = self._slot_for(path, int(keys_arr[probe]))
-                if slot is not None:
-                    slots[probe] = slot
-                    match[probe] = True
-
-        lengths = np.where(
-            match, self._posting_offsets[slots + 1] - self._posting_offsets[slots], 0
-        )
-        offsets = np.zeros(num_probes + 1, dtype=np.int64)
+        offsets = np.zeros(lengths.size + 1, dtype=OFFSET_DTYPE)
         np.cumsum(lengths, out=offsets[1:])
-        if int(offsets[-1]) == 0:
-            return empty, offsets, route
-        gathered = _segment_gather(self._posting_ids, self._posting_offsets[slots], lengths)
-        return gathered, offsets, route
+        return ids, offsets, np.zeros(lengths.size, dtype=np.int64)
 
     def candidates(
         self, paths: Iterable[Path], keys: Sequence[int] | None = None
@@ -737,7 +874,7 @@ class InvertedFilterIndex:
 
     def __contains__(self, path: Path) -> bool:
         path = tuple(path)
-        return self._slot_for(path, fold_path(path)) is not None
+        return find_slot(self._table(), fold_path(path), path) is not None
 
     # ------------------------------------------------------------------ #
     # Statistics

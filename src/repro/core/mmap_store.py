@@ -11,10 +11,12 @@ Two pieces cooperate:
 
 * :class:`ShardedInvertedFilterIndex` — one per repetition.  Probes are
   routed to their shard with one ``searchsorted`` over the manifest's
-  key-range fences, and each touched shard runs the standard
-  searchsorted/CSR-gather resolution against its mapped arrays (the shard
-  slices are key-sorted by construction, so the probe table is the arrays
-  themselves — nothing is rebuilt, nothing is copied at open time).
+  key-range fences, and each touched shard is resolved by the resolver
+  every store shares (:func:`~repro.core.inverted_index.probe_by_label`
+  over :class:`~repro.core.inverted_index.ShardSlice` views of its mapped
+  arrays; the slices are key-sorted by construction, so the probe table is
+  the arrays themselves — nothing is rebuilt, nothing is copied at open
+  time).
 * :class:`LazyVectorStore` — the stored vectors as a read-only sequence
   over the mapped CSR arrays, materialising a ``frozenset`` only when a
   vector is actually asked for (verification normally runs against the
@@ -30,11 +32,11 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence as SequenceABC
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.inverted_index import InvertedFilterIndex, _segment_gather, _segments_differ
+from repro.core.inverted_index import ShardSlice, find_slot, probe_by_label, scatter_parts
 from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path
 
@@ -73,115 +75,6 @@ def shard_key_ranges(num_shards: int) -> np.ndarray:
 def route_keys(fences: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Shard index of each folded key, given the inner fences."""
     return np.searchsorted(fences, np.ascontiguousarray(keys, dtype=np.uint64), side="right")
-
-
-def probe_sorted_arrays(
-    keys: np.ndarray,
-    probe_items: np.ndarray,
-    probe_starts: np.ndarray,
-    probe_lengths: np.ndarray,
-    store_keys: np.ndarray,
-    path_items: np.ndarray,
-    path_offsets: np.ndarray,
-    posting_offsets: np.ndarray,
-    has_duplicate_keys: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve probes against a *key-sorted* store; ``(slots, lengths)``.
-
-    The store arrays must hold slots in ascending folded-key order (the
-    invariant of every format v3 shard), so the key array doubles as the
-    probe table and slot indices are positions directly — no permutation
-    array exists, which is what makes this safe to run over ``np.memmap``
-    views without materialising anything proportional to the store.
-
-    ``lengths[k]`` is 0 for probes whose path is not stored; stored paths
-    are compared exactly (vectorised), so a 64-bit key collision can never
-    surface a foreign posting list, and genuinely duplicated keys (forced
-    collisions) fall back to an exact forward scan over the equal-key run.
-    """
-    num_probes = keys.size
-    if store_keys.size == 0:
-        return np.zeros(num_probes, dtype=np.int64), np.zeros(num_probes, dtype=np.int64)
-    positions = np.searchsorted(store_keys, keys)
-    clipped = np.minimum(positions, store_keys.size - 1)
-    found = store_keys[clipped] == keys
-    slots = np.where(found, clipped, 0)
-
-    slot_lengths = path_offsets[slots + 1] - path_offsets[slots]
-    match = found & (slot_lengths == probe_lengths)
-    check = np.flatnonzero(match)
-    match[check] = ~_segments_differ(
-        path_items,
-        path_offsets[slots[check]],
-        probe_items,
-        probe_starts[check],
-        probe_lengths[check],
-    )
-
-    if has_duplicate_keys:
-        for probe in np.flatnonzero(found & ~match).tolist():
-            key = keys[probe]
-            start = int(probe_starts[probe])
-            length = int(probe_lengths[probe])
-            target = probe_items[start : start + length]
-            position = int(positions[probe])
-            while position < store_keys.size and store_keys[position] == key:
-                slot_start = int(path_offsets[position])
-                slot_end = int(path_offsets[position + 1])
-                if slot_end - slot_start == length and np.array_equal(
-                    path_items[slot_start:slot_end], target
-                ):
-                    slots[probe] = position
-                    match[probe] = True
-                    break
-                position += 1
-
-    lengths = np.where(match, posting_offsets[slots + 1] - posting_offsets[slots], 0)
-    return slots, lengths
-
-
-class ShardSlice:
-    """One repetition's arrays within one shard (typically mapped files).
-
-    The arrays are held as base-class ``ndarray`` views: ``np.asarray`` of
-    an ``np.memmap`` shares its pages and its laziness without a copy, and
-    sheds the subclass whose Python-level ``__array_finalize__`` /
-    ``__getitem__`` would otherwise run on every intermediate array of
-    every probe.
-    """
-
-    __slots__ = (
-        "keys",
-        "path_items",
-        "path_offsets",
-        "posting_ids",
-        "posting_offsets",
-        "has_duplicate_keys",
-    )
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        path_items: np.ndarray,
-        path_offsets: np.ndarray,
-        posting_ids: np.ndarray,
-        posting_offsets: np.ndarray,
-        has_duplicate_keys: bool,
-    ) -> None:
-        self.keys = np.asarray(keys)
-        self.path_items = np.asarray(path_items)
-        self.path_offsets = np.asarray(path_offsets)
-        self.posting_ids = np.asarray(posting_ids)
-        self.posting_offsets = np.asarray(posting_offsets)
-        self.has_duplicate_keys = bool(has_duplicate_keys)
-
-    @property
-    def num_slots(self) -> int:
-        return self.keys.size
-
-    @property
-    def num_postings(self) -> int:
-        return int(self.posting_offsets[-1]) if self.posting_offsets.size else 0
 
 
 def concatenate_shard_slices(
@@ -251,8 +144,6 @@ class ShardedInvertedFilterIndex:
         paging anything in.
     """
 
-    is_sharded = True
-
     def __init__(
         self,
         fences: np.ndarray,
@@ -316,12 +207,6 @@ class ShardedInvertedFilterIndex:
     # Probing (the query hot path)
     # ------------------------------------------------------------------ #
 
-    def count_probe_shards(self, keys: Sequence[int] | np.ndarray) -> int:
-        """Distinct shards the given probe keys route to."""
-        if len(keys) == 0:
-            return 0
-        return int(np.unique(route_keys(self._fences, np.asarray(keys, dtype=np.uint64))).size)
-
     def probe_batch(
         self,
         paths: Sequence[Path],
@@ -349,56 +234,11 @@ class ShardedInvertedFilterIndex:
         is returned so callers can account shard fan-out without re-routing
         the same keys.  Touched shards resolve and gather one after another.
         """
-        num_probes = len(probe_offsets) - 1
-        empty = np.empty(0, dtype=np.int64)
-        if num_probes == 0:
-            return empty, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         keys_arr = np.ascontiguousarray(keys, dtype=np.uint64)
-        probe_starts = probe_offsets[:-1]
-        probe_lengths = np.diff(probe_offsets)
-        route = route_keys(self._fences, keys_arr)
-        touched = np.unique(route).tolist()
-
-        def resolve(shard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            members = np.flatnonzero(route == shard)
-            part = self._slice(shard)
-            slots, lengths = probe_sorted_arrays(
-                keys_arr[members],
-                probe_items,
-                probe_starts[members],
-                probe_lengths[members],
-                part.keys,
-                part.path_items,
-                part.path_offsets,
-                part.posting_offsets,
-                part.has_duplicate_keys,
-            )
-            gathered = _segment_gather(
-                part.posting_ids, part.posting_offsets[slots], lengths
-            ).astype(np.int64, copy=False)
-            return members, lengths, gathered
-
-        parts = [resolve(shard) for shard in touched]
-
-        per_probe = np.zeros(num_probes, dtype=np.int64)
-        for members, lengths, _gathered in parts:
-            per_probe[members] = lengths
-        offsets = np.zeros(num_probes + 1, dtype=np.int64)
-        np.cumsum(per_probe, out=offsets[1:])
-        total = int(offsets[-1])
-        route64 = route.astype(np.int64, copy=False)
-        if total == 0:
-            return empty, offsets, route64
-        ids = np.empty(total, dtype=np.int64)
-        for members, lengths, gathered in parts:
-            if not gathered.size:
-                continue
-            starts = offsets[:-1][members]
-            destination = np.arange(gathered.size, dtype=np.int64) + np.repeat(
-                starts - (np.cumsum(lengths) - lengths), lengths
-            )
-            ids[destination] = gathered
-        return ids, offsets, route64
+        route = route_keys(self._fences, keys_arr).astype(np.int64, copy=False)
+        parts = probe_by_label(route, self._slice, keys_arr, probe_items, probe_offsets)
+        ids, offsets = scatter_parts(len(probe_offsets) - 1, parts)
+        return ids, offsets, route
 
     def lookup(self, path: Path) -> list[int]:
         """Vector ids that chose ``path`` (empty list if none)."""
@@ -410,45 +250,11 @@ class ShardedInvertedFilterIndex:
         ids, _offsets = self.probe_batch([tuple(path)], [int(key)])
         return ids.tolist()
 
-    def candidates(
-        self, paths: Iterable[Path], keys: Sequence[int] | None = None
-    ) -> Iterator[int]:
-        """Yield every (vector id) collision for the given query filters."""
-        paths = [tuple(path) for path in paths]
-        if keys is None:
-            keys = [fold_path(path) for path in paths]
-        ids, _offsets = self.probe_batch(paths, keys)
-        yield from ids.tolist()
-
     def __contains__(self, path: Path) -> bool:
-        return self._path_is_stored(tuple(path))
-
-    def _path_is_stored(self, path: Path) -> bool:
-        # A stored path with an empty posting list is indistinguishable from
-        # a missing one through probe_batch; resolve the slot explicitly.
-        key = np.uint64(fold_path(path))
-        shard = int(route_keys(self._fences, np.asarray([key]))[0])
-        part = self._slice(shard)
-        if part.keys.size == 0:
-            return False
-        probe_items, probe_offsets = paths_to_csr([path])
-        slots, _lengths = probe_sorted_arrays(
-            np.asarray([key], dtype=np.uint64),
-            probe_items,
-            probe_offsets[:-1],
-            np.diff(probe_offsets),
-            part.keys,
-            part.path_items,
-            part.path_offsets,
-            part.posting_offsets,
-            part.has_duplicate_keys,
-        )
-        slot = int(slots[0])
-        if part.keys[slot] != key:
-            return False
-        start = int(part.path_offsets[slot])
-        end = int(part.path_offsets[slot + 1])
-        return tuple(part.path_items[start:end].tolist()) == path
+        path = tuple(path)
+        key = fold_path(path)
+        shard = int(route_keys(self._fences, np.asarray([key], dtype=np.uint64))[0])
+        return find_slot(self._slice(shard), key, path) is not None
 
     # ------------------------------------------------------------------ #
     # Mutation (rejected) and compaction (no-op)
@@ -483,15 +289,6 @@ class ShardedInvertedFilterIndex:
     def __len__(self) -> int:
         return self.num_filters
 
-    def posting_sizes(self) -> list[int]:
-        """Sizes of all posting lists, in global (key) slot order."""
-        sizes: list[int] = []
-        for shard in range(self._num_shards):
-            if self._slot_counts[shard] == 0:
-                continue
-            sizes.extend(np.diff(self._slice(shard).posting_offsets).tolist())
-        return sizes
-
     def to_state(self) -> dict[str, np.ndarray]:
         """Materialise the full store as the standard state arrays.
 
@@ -511,18 +308,6 @@ class ShardedInvertedFilterIndex:
         return concatenate_shard_slices(
             [self._slice(shard) for shard in range(self._num_shards)]
         )
-
-    @property
-    def has_duplicate_keys(self) -> bool:
-        """Whether any shard carries a forced 64-bit key collision."""
-        # Duplicate-key flags live in the manifest-backed opener output; a
-        # shard must be opened to know.  Conservative callers should use the
-        # per-shard flags; this property is mainly diagnostic.  The lock
-        # keeps the iteration consistent with a concurrent lazy open.
-        with self._lock:
-            return any(
-                opened.has_duplicate_keys for opened in self._slices.values()
-            )
 
     def __repr__(self) -> str:
         return (
@@ -581,16 +366,3 @@ class LazyVectorStore(SequenceABC):
         starts = np.asarray(self._offsets[:-1], dtype=np.int64)
         sizes = np.diff(np.asarray(self._offsets, dtype=np.int64))
         return self._items, starts, sizes
-
-
-def sorted_state_of(index: Any) -> tuple[Mapping[str, np.ndarray], np.ndarray]:
-    """A postings store's state with slots in ascending folded-key order.
-
-    Accepts both store classes: the sharded view is sorted by construction;
-    the in-memory :class:`InvertedFilterIndex` is stably re-ordered by key
-    when needed (slots loaded from older formats sit in file order, and the
-    chained-collision fallback leaves slots in insertion order).
-    """
-    if not isinstance(index, (ShardedInvertedFilterIndex, InvertedFilterIndex)):
-        raise TypeError(f"cannot shard a store of type {type(index).__name__}")
-    return index.to_sorted_state()

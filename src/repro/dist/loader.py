@@ -198,10 +198,6 @@ def load_routed_index(
                 posting_counts=[
                     int(counts["num_postings"]) for counts in counts_by_rep[repetition]
                 ],
-                has_duplicate_keys=any(
-                    bool(counts["has_duplicate_keys"])
-                    for counts in counts_by_rep[repetition]
-                ),
             )
             for repetition in range(repetitions)
         ]

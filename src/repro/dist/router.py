@@ -12,7 +12,8 @@ caller has filters for; the engine hands it a whole generation wave.  The
 merged output is bit-identical to one
 :meth:`ShardedInvertedFilterIndex.probe_batch_routed` per repetition,
 concatenated, because the resolution *and* the scatter are the same
-algorithms over the same arrays — only the process boundary moved.
+functions (:mod:`repro.core.inverted_index`) over the same arrays — only
+the process boundary moved.
 
 :class:`RouterBackedFilterIndex` wraps one repetition of the routed index
 in the store interface the per-repetition callers speak (tuple lookups,
@@ -28,12 +29,12 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.engine import DeadlineExceededError
-from repro.core.inverted_index import _segment_gather
+from repro.core.inverted_index import ProbePart, _segment_gather, scatter_parts
 from repro.core.mmap_store import MmapReadOnlyError, route_keys
 from repro.core.paths import paths_to_csr
 from repro.core.stats import ShardFanoutStats
@@ -260,12 +261,12 @@ class ShardRouter:
         worker_route = self._shard_to_worker[route]
         touched = np.unique(worker_route).tolist()
 
-        def skip(worker: int, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def skip(worker: int, members: np.ndarray) -> ProbePart:
             """A degraded part: this worker's probes answer zero postings."""
             self._record_missing(route[members])
             return members, np.zeros(members.size, dtype=np.int64), empty
 
-        def call(worker: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        def call(worker: int) -> ProbePart:
             members = np.flatnonzero(worker_route == worker)
             if deadline is not None and time.time() >= deadline:
                 self._record_abort(worker)
@@ -333,25 +334,8 @@ class ShardRouter:
         else:
             parts = [call(worker) for worker in touched]
 
-        per_probe = np.zeros(num_probes, dtype=np.int64)
-        for members, lengths, _gathered in parts:
-            per_probe[members] = lengths
-        offsets = np.zeros(num_probes + 1, dtype=np.int64)
-        np.cumsum(per_probe, out=offsets[1:])
-        total = int(offsets[-1])
-        route64 = route.astype(np.int64, copy=False)
-        if total == 0:
-            return empty, offsets, route64
-        ids = np.empty(total, dtype=np.int64)
-        for members, lengths, gathered in parts:
-            if not gathered.size:
-                continue
-            starts = offsets[:-1][members]
-            destination = np.arange(gathered.size, dtype=np.int64) + np.repeat(
-                starts - (np.cumsum(lengths) - lengths), lengths
-            )
-            ids[destination] = gathered
-        return ids, offsets, route64
+        ids, offsets = scatter_parts(num_probes, parts)
+        return ids, offsets, route.astype(np.int64, copy=False)
 
     def contains(self, repetition: int, path: Path) -> bool:
         """Exact stored-path check, answered by the owning worker."""
@@ -383,21 +367,17 @@ class RouterBackedFilterIndex:
     surfaces resolve whole waves of repetitions through the router itself.
     """
 
-    is_sharded = True
-
     def __init__(
         self,
         router: ShardRouter,
         repetition: int,
         slot_counts: Sequence[int],
         posting_counts: Sequence[int],
-        has_duplicate_keys: bool,
     ) -> None:
         self._router = router
         self._repetition = int(repetition)
         self._slot_counts = [int(count) for count in slot_counts]
         self._posting_counts = [int(count) for count in posting_counts]
-        self._has_duplicate_keys = bool(has_duplicate_keys)
 
     @property
     def router(self) -> ShardRouter:
@@ -410,14 +390,6 @@ class RouterBackedFilterIndex:
     @property
     def fences(self) -> np.ndarray:
         return self._router.fences
-
-    def count_probe_shards(self, keys: Sequence[int] | np.ndarray) -> int:
-        """Distinct shards the given probe keys route to."""
-        if len(keys) == 0:
-            return 0
-        return int(
-            np.unique(route_keys(self._router.fences, np.asarray(keys, dtype=np.uint64))).size
-        )
 
     def probe_batch(
         self,
@@ -449,16 +421,6 @@ class RouterBackedFilterIndex:
         """:meth:`lookup` with the path's folded key already in hand."""
         ids, _offsets = self.probe_batch([tuple(path)], [int(key)])
         return ids.tolist()
-
-    def candidates(
-        self, paths: Iterable[Path], keys: Sequence[int] | None = None
-    ) -> Iterator[int]:
-        """Yield every (vector id) collision for the given query filters."""
-        paths = [tuple(path) for path in paths]
-        if keys is None:
-            keys = [fold_path(path) for path in paths]
-        ids, _offsets = self.probe_batch(paths, keys)
-        yield from ids.tolist()
 
     def __contains__(self, path: Path) -> bool:
         return self._router.contains(self._repetition, tuple(path))
@@ -495,11 +457,6 @@ class RouterBackedFilterIndex:
 
     def __len__(self) -> int:
         return self.num_filters
-
-    @property
-    def has_duplicate_keys(self) -> bool:
-        """Whether any shard carries a forced 64-bit key collision."""
-        return self._has_duplicate_keys
 
     def to_state(self) -> dict[str, np.ndarray]:
         raise TypeError(

@@ -2,11 +2,11 @@
 
 A worker is the *data plane* of the distributed layer.  It mmap-loads only
 the shard files it owns (lazily, via the same container cache the
-single-process mmap loader uses), resolves probe batches with the exact
-:func:`~repro.core.mmap_store.probe_sorted_arrays` path every other mode
-runs, and returns per-probe CSR slices.  Because the resolution code is
-shared — not reimplemented — results are bit-identical to single-process
-mmap mode by construction.
+single-process mmap loader uses), resolves probe batches with the resolver
+every store runs (:func:`~repro.core.inverted_index.probe_by_label` and
+:func:`~repro.core.inverted_index.scatter_parts`), and returns per-probe
+CSR slices.  Because the resolution code is shared — not reimplemented —
+results are bit-identical to single-process mmap mode by construction.
 
 The same :class:`ShardWorkerState` backs all three transports:
 
@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.core.dtypes import REPETITION_DTYPE
 from repro.core.engine import DeadlineExceededError
-from repro.core.inverted_index import _segment_gather
-from repro.core.mmap_store import ShardSlice, probe_sorted_arrays, route_keys
+from repro.core.inverted_index import ShardSlice, find_slot, probe_by_label, scatter_parts
+from repro.core.mmap_store import route_keys
 from repro.core.serialization import (
     _read_manifest,
     _shard_slice_from_container,
@@ -152,9 +152,8 @@ class ShardWorkerState:
                 f"repetition column is {column.dtype.name}{list(column.shape)} but "
                 f"{num_probes} keys need {np.dtype(REPETITION_DTYPE).name}[{num_probes}]"
             )
-        empty = np.empty(0, dtype=np.int64)
         if num_probes == 0:
-            return np.zeros(0, dtype=np.int64), empty
+            return np.zeros(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         if int(column.min()) < 0 or int(column.max()) >= self._repetitions:
             raise ValueError(
                 f"repetition column spans [{int(column.min())}, {int(column.max())}] "
@@ -166,83 +165,29 @@ class ShardWorkerState:
             raise ValueError(
                 f"probe_offsets has {offsets.size} entries for {num_probes} keys"
             )
-        probe_starts = offsets[:-1]
-        probe_lengths = np.diff(offsets)
-        # One resolution per (repetition, shard) slice the batch touches.
-        group = column.astype(np.int64) * self._num_shards + route_keys(
-            self._fences, keys_arr
-        )
-        order = np.argsort(group, kind="stable")
-        group = group[order]
-        edges = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), num_probes]
-        per_probe = np.zeros(num_probes, dtype=np.int64)
-        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for first, last in zip(edges, edges[1:]):
-            repetition, shard = divmod(int(group[first]), self._num_shards)
+
+        def table_of(label: int) -> ShardSlice:
+            repetition, shard = divmod(label, self._num_shards)
             if deadline is not None and time.time() >= deadline:
                 raise DeadlineExceededError(
                     "request deadline expired mid-probe (before repetition "
                     f"{repetition}, shard {shard})"
                 )
-            members = order[first:last]
-            part = self._slice(repetition, shard)
-            slots, lengths = probe_sorted_arrays(
-                keys_arr[members],
-                items,
-                probe_starts[members],
-                probe_lengths[members],
-                part.keys,
-                part.path_items,
-                part.path_offsets,
-                part.posting_offsets,
-                part.has_duplicate_keys,
-            )
-            gathered = _segment_gather(
-                part.posting_ids, part.posting_offsets[slots], lengths
-            ).astype(np.int64, copy=False)
-            per_probe[members] = lengths
-            parts.append((members, lengths, gathered))
-        out_offsets = np.zeros(num_probes + 1, dtype=np.int64)
-        np.cumsum(per_probe, out=out_offsets[1:])
-        total = int(out_offsets[-1])
-        if total == 0:
-            return per_probe, empty
-        ids = np.empty(total, dtype=np.int64)
-        for members, lengths, gathered in parts:
-            if not gathered.size:
-                continue
-            starts = out_offsets[:-1][members]
-            destination = np.arange(gathered.size, dtype=np.int64) + np.repeat(
-                starts - (np.cumsum(lengths) - lengths), lengths
-            )
-            ids[destination] = gathered
-        return per_probe, ids
+            return self._slice(repetition, shard)
+
+        # One resolution per (repetition, shard) slice the batch touches.
+        labels = column.astype(np.int64) * self._num_shards + route_keys(
+            self._fences, keys_arr
+        )
+        ids, out_offsets = scatter_parts(
+            num_probes, probe_by_label(labels, table_of, keys_arr, items, offsets)
+        )
+        return np.diff(out_offsets), ids
 
     def contains(self, repetition: int, key: int, items: np.ndarray) -> bool:
         """Exact is-this-path-stored check (empty posting lists included)."""
-        key64 = np.uint64(key)
-        shard = int(route_keys(self._fences, np.asarray([key64]))[0])
-        part = self._slice(repetition=repetition, shard=shard)
-        if part.keys.size == 0:
-            return False
-        path_items = np.ascontiguousarray(items, dtype=np.int64)
-        slots, _lengths = probe_sorted_arrays(
-            np.asarray([key64], dtype=np.uint64),
-            path_items,
-            np.zeros(1, dtype=np.int64),
-            np.asarray([path_items.size], dtype=np.int64),
-            part.keys,
-            part.path_items,
-            part.path_offsets,
-            part.posting_offsets,
-            part.has_duplicate_keys,
-        )
-        slot = int(slots[0])
-        if part.keys[slot] != key64:
-            return False
-        start = int(part.path_offsets[slot])
-        end = int(part.path_offsets[slot + 1])
-        return bool(np.array_equal(part.path_items[start:end], path_items))
+        shard = int(route_keys(self._fences, np.asarray([key], dtype=np.uint64))[0])
+        return find_slot(self._slice(repetition, shard), key, items) is not None
 
     def describe(self) -> dict[str, Any]:
         """Topology and liveness facts for router validation and /stats."""

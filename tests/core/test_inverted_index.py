@@ -87,6 +87,12 @@ class TestStatistics:
         assert "num_filters=1" in repr(index)
 
 
+def _assert_same_state(actual: InvertedFilterIndex, expected: InvertedFilterIndex) -> None:
+    actual_state, wanted = actual.to_state(), expected.to_state()
+    for name in STATE_ARRAY_NAMES:
+        assert np.array_equal(actual_state[name], wanted[name]), name
+
+
 def _populated() -> InvertedFilterIndex:
     index = InvertedFilterIndex()
     index.add(0, [(1,), (2, 3), (4,)])
@@ -171,6 +177,7 @@ class TestKeyCollisions:
         assert restored.lookup_keyed((1, 2), self.SAME_KEY) == [0, 2]
         assert restored.lookup_keyed((3, 4), self.SAME_KEY) == [1]
         assert restored.lookup_keyed((5, 6), self.SAME_KEY) == []
+        _assert_same_state(restored, index)
 
 
 class TestCompaction:
@@ -342,8 +349,8 @@ class TestBulkCompaction:
 
     def test_from_state_accepts_unsorted_slot_order(self):
         """Files written before the CSR-native probe pipeline store slots in
-        first-registration order; the rebuilt probe tables must resolve them
-        identically."""
+        first-registration order; loading permutes them into key order, so
+        they resolve identically."""
         index = _populated()
         state = {name: array.copy() for name, array in index.to_state().items()}
         # Reverse the slot order by hand, keeping rows consistent.
@@ -378,6 +385,7 @@ class TestBulkCompaction:
         expected_ids, expected_offsets = index.probe_batch(paths, keys)
         assert ids.tolist() == expected_ids.tolist()
         assert offsets.tolist() == expected_offsets.tolist()
+        _assert_same_state(restored, index)
 
 
 class TestStateRoundTrip:

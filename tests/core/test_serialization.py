@@ -23,6 +23,9 @@ from repro.core.config import (
     SkewAdaptiveIndexConfig,
 )
 from repro.core.correlated_index import CorrelatedIndex
+from repro.core.inverted_index import STATE_ARRAY_NAMES
+from repro.core.mmap_store import route_keys
+from repro.core.paths import paths_to_csr
 from repro.core.serialization import (
     FORMAT_VERSION,
     LEGACY_JSON_VERSION,
@@ -35,6 +38,7 @@ from repro.core.serialization import (
 )
 from repro.core.skewed_index import SkewAdaptiveIndex
 from repro.data.distributions import ItemDistribution
+from repro.hashing.pairwise import fold_path
 
 #: Explicit v2 configuration for the single-file container tests.
 V2 = PersistenceConfig(format_version=2)
@@ -568,6 +572,15 @@ class TestV3Format:
         convert_index_file(upgraded, downgraded, config=V2)
         assert zipfile.is_zipfile(downgraded)
 
+        # A v2 file holds its slots in path order; loading puts every
+        # repetition's store back into key order, array for array the built one.
+        built = adversarial_index._engine.filter_indexes
+        for loaded in (load_index(v2_first), load_index(downgraded)):
+            for restored, original in zip(loaded._engine.filter_indexes, built):
+                restored_state, original_state = restored.to_state(), original.to_state()
+                for name in STATE_ARRAY_NAMES:
+                    assert np.array_equal(restored_state[name], original_state[name]), name
+
         queries = skewed_dataset[:30]
         expected, expected_stats = adversarial_index.query_batch(queries)
         for loaded in (
@@ -736,6 +749,39 @@ class TestMmapMode:
         for probe in [(0,), (1, 2), (3, 4, 5), (250, 251), (7,)]:
             hits += probe in store  # must not raise, whatever shard it routes to
         assert hits >= 0
+
+    def test_mmap_probe_batches_match_ram_at_the_edges(self, adversarial_index, tmp_path):
+        """A mixed batch whose misses alone touch some shards, a batch whose
+        probes all miss and a zero-probe batch merge back into probe order
+        exactly as the RAM store answers them."""
+        path = tmp_path / "index.v3"
+        save_index(adversarial_index, path, config=PersistenceConfig(shards=8))
+        ram = load_index(path)._engine.filter_indexes[0]
+        mapped = load_index(path, mode="mmap")._engine.filter_indexes[0]
+        state, keys = ram.to_sorted_state()
+        path_offsets = state["path_offsets"]
+        stored = [
+            tuple(state["path_items"][path_offsets[slot] : path_offsets[slot + 1]].tolist())
+            for slot in np.flatnonzero(keys < mapped.fences[0])[:5]
+        ]
+        missing = [(10_000 + step, step) for step in range(24)]
+        assert stored
+        for batch in (stored + missing, missing, []):
+            items, offsets = paths_to_csr(batch)
+            probe_keys = np.asarray([fold_path(probe) for probe in batch], dtype=np.uint64)
+            ids, out_offsets, route = mapped.probe_batch_routed(items, offsets, probe_keys)
+            expected_ids, expected_offsets, _route = ram.probe_batch_routed(
+                items, offsets, probe_keys
+            )
+            assert np.array_equal(ids, expected_ids)
+            assert np.array_equal(out_offsets, expected_offsets)
+            assert out_offsets.size == len(batch) + 1
+            assert route.tolist() == route_keys(mapped.fences, probe_keys).tolist()
+            if batch and batch[0] in stored:
+                assert ids.size
+                assert set(route[len(stored) :].tolist()) - {0}  # misses-only shards
+            else:
+                assert ids.size == 0
 
     def test_mmap_index_can_resave_over_its_own_directory(
         self, adversarial_index, skewed_dataset, tmp_path

@@ -259,7 +259,6 @@ def test_routed_filter_index_counts_match_mmap(mmap_index, inproc_index):
         assert actual.num_filters == expected.num_filters
         assert actual.total_entries == expected.total_entries
         assert actual.num_shards == expected.num_shards
-        assert actual.has_duplicate_keys == expected.has_duplicate_keys
         assert np.array_equal(actual.fences, expected.fences)
 
 
@@ -274,9 +273,3 @@ def test_routed_contains_matches_mmap(mmap_index, inproc_index):
         stored = expected_index.lookup((1, 2, 3))
         assert actual_index.lookup((1, 2, 3)) == stored
 
-
-def test_count_probe_shards_matches_mmap(mmap_index, inproc_index):
-    keys = np.array([0, 1, 2**16, 2**40, 2**63, 2**64 - 1], dtype=np.uint64)
-    expected = mmap_index._engine.filter_indexes[0].count_probe_shards(keys)
-    assert inproc_index._engine.filter_indexes[0].count_probe_shards(keys) == expected
-    assert inproc_index._engine.filter_indexes[0].count_probe_shards([]) == 0
