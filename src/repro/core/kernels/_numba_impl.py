@@ -2,11 +2,12 @@
 
 Importing this module raises ``ImportError`` when numba is not installed;
 the dispatch layer catches that and falls back to the numpy backend.  Every
-kernel mirrors its :mod:`repro.core.kernels._numpy_impl` counterpart
-scalar-for-scalar — in particular the SplitMix64 fold and the multiply-add
-hash over the Mersenne prime ``2^61 - 1`` reproduce the exact 32-bit-split
-uint64 arithmetic of :func:`repro.hashing.pairwise.hash_keys`, so hash
-values (and therefore every downstream decision) are bit-identical.
+kernel gives the same outputs as its :mod:`repro.core.kernels._numpy_impl`
+counterpart.  The arithmetic need not match: ``_hash_key`` reduces modulo
+the Mersenne prime ``2^61 - 1`` after every 32-bit-split partial product,
+while the numpy form, :func:`repro.hashing.pairwise.hash_keys`, reduces
+lazily.  Both compute the same residue, so hash values (and therefore every
+downstream decision) are bit-identical.
 
 Numba notes: all 64-bit hash constants are pinned as ``np.uint64`` module
 globals — mixing a raw Python int literal into uint64 arithmetic would

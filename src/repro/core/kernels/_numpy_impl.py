@@ -69,33 +69,40 @@ def extend_level(
     ``expansions[v]`` counts the entries of ``v`` processed (up to and
     including the cutoff's entry when truncated).  At indices where
     ``status == 0`` the contents of ``new_keys``/``new_logs`` are
-    unspecified — backends may skip computing them.
+    unspecified — backends may skip computing them.  This one fills
+    ``new_logs`` only at chosen candidates, and runs the truncation scan
+    only when the cap can bind.
     """
     num_candidates = int(cand_items.size)
-    num_entries = int(entry_vector.size)
     lengths = np.diff(entry_offsets)
-    cand_entry = np.repeat(np.arange(num_entries, dtype=np.int64), lengths)
-    cand_vec = entry_vector[cand_entry]
 
     new_keys = extend_keys(cand_prefix_keys, cand_items)
     if a.size == 1:
         # One repetition: scalar coefficients broadcast, no per-candidate gather.
         hash_values = hash_keys(new_keys, a[0], b[0])
     else:
-        cand_repetition = entry_repetition[cand_entry]
+        cand_repetition = np.repeat(entry_repetition, lengths)
         hash_values = hash_keys(new_keys, a[cand_repetition], b[cand_repetition])
     chosen = hash_values < cand_probs
-    new_logs = cand_parent_logs + cand_item_logs
+    chosen_idx = np.flatnonzero(chosen)
 
-    status = np.zeros(num_candidates, dtype=np.int8)
-    status[chosen] = 1
+    # Logs and the stop rule are evaluated at chosen candidates only: the
+    # contract leaves ``new_logs`` unspecified where ``status == 0``.
+    new_logs = np.zeros(num_candidates, dtype=np.float64)
+    chosen_logs = cand_parent_logs[chosen_idx] + cand_item_logs[chosen_idx]
+    new_logs[chosen_idx] = chosen_logs
+    status = chosen.astype(np.int8)
     if use_stop:
-        status[chosen & (new_logs <= log_stop)] = 2
+        status[chosen_idx[chosen_logs <= log_stop]] = 2
 
-    expansions = np.bincount(entry_vector, minlength=num_vectors).astype(np.int64)
+    expansions = np.bincount(entry_vector, minlength=num_vectors).astype(np.int64, copy=False)
     truncated = np.zeros(num_vectors, dtype=np.bool_)
 
-    if max_paths >= 0 and num_candidates:
+    # A vector's run is at most its finished count plus every chosen
+    # candidate of the level, so below that bound the cap cannot bind.
+    num_chosen = int(chosen_idx.size)
+    if max_paths >= 0 and num_chosen and num_chosen + int(vec_finished.max()) >= max_paths:
+        cand_vec = np.repeat(entry_vector, lengths)
         cumulative = np.cumsum(chosen)
         vec_start = np.searchsorted(
             cand_vec, np.arange(num_vectors, dtype=np.int64), side="left"
@@ -112,8 +119,9 @@ def extend_level(
                 vector = int(cand_vec[cutoff])
                 segment_end = int(np.searchsorted(cand_vec, vector, side="right"))
                 status[cutoff + 1 : segment_end] = 0
+                cutoff_entry = int(np.searchsorted(entry_offsets, cutoff, side="right")) - 1
                 first_entry = int(np.searchsorted(entry_vector, vector, side="left"))
-                expansions[vector] = int(cand_entry[cutoff]) - first_entry + 1
+                expansions[vector] = cutoff_entry - first_entry + 1
                 truncated[vector] = True
 
     counters[PATHS_EXTENDED] += int(np.count_nonzero(status))

@@ -607,10 +607,11 @@ class PathGenerator:
             if f_vec.size == 0:
                 break
             # Little-endian bit enumeration: word w bit b = item position
-            # w * 64 + b.  np.nonzero walks C-order, so candidates come out
-            # entry-major with positions ascending — the serial order.
+            # w * 64 + b.  A flat walk of the C-order bit matrix yields the
+            # candidates entry-major with positions ascending — the serial
+            # order.
             available = np.unpackbits(f_masks.view(np.uint8), axis=1, bitorder="little")
-            entry_index, position = np.nonzero(available)
+            entry_index, position = np.divmod(np.flatnonzero(available), available.shape[1])
             if entry_index.size == 0:
                 # Serial semantics: entries with no remaining items are
                 # dropped, never collected — empty the frontier before

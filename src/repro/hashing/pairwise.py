@@ -35,14 +35,18 @@ _LOW29_U64 = np.uint64((1 << 29) - 1)
 
 
 def _mod_mersenne(values: np.ndarray) -> np.ndarray:
-    """Reduce an array of uint64 values modulo ``2^61 - 1`` exactly.
+    """Reduce a uint64 array modulo ``2^61 - 1`` exactly, in place.
 
     Uses the identity ``2^61 ≡ 1 (mod p)``: folding the top bits down gives a
-    value below ``2p``, after which a single conditional subtract finishes the
-    reduction.
+    value below ``p + 8`` for any uint64 input, after which a single
+    conditional subtract finishes the reduction.  Overwrites ``values`` and
+    returns it, so callers pass an array they own.
     """
-    folded = (values & _PRIME_U64) + (values >> np.uint64(61))
-    return np.where(folded >= _PRIME_U64, folded - _PRIME_U64, folded)
+    high = values >> np.uint64(61)
+    values &= _PRIME_U64
+    values += high
+    np.subtract(values, _PRIME_U64, out=values, where=values >= _PRIME_U64)
+    return values
 
 
 def splitmix64(value: int) -> int:
@@ -58,11 +62,18 @@ def splitmix64(value: int) -> int:
 
 
 def splitmix64_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`splitmix64` over a uint64 array (bit-identical)."""
-    values = (values + np.uint64(0x9E3779B97F4A7C15))
-    values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return values ^ (values >> np.uint64(31))
+    """Vectorised :func:`splitmix64` over a uint64 array (bit-identical).
+
+    The first addition makes the one new array; every later step updates it
+    in place, so the input is never modified.
+    """
+    mixed = values + np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> np.uint64(30)
+    mixed *= np.uint64(0xBF58476D1CE4E5B9)
+    mixed ^= mixed >> np.uint64(27)
+    mixed *= np.uint64(0x94D049BB133111EB)
+    mixed ^= mixed >> np.uint64(31)
+    return mixed
 
 
 def fold_path(path: Sequence[int]) -> int:
@@ -151,29 +162,59 @@ def hash_keys(keys: np.ndarray, a: int | np.ndarray, b: int | np.ndarray) -> np.
     pair for the whole array, or uint64 arrays giving every key its own pair
     (a fused pass over several repetitions); the arithmetic per element is
     the same either way.  Bit-identical to :meth:`PairwiseHash.hash_int`
-    elementwise; the compiled kernels mirror this exact arithmetic
-    scalar-for-scalar.
+    elementwise.
+
+    Reduction is lazy: three reductions modulo ``p`` instead of one per
+    partial product.  With ``x = key mod p`` and ``a, b < p`` (so ``a_hi,
+    x_hi < 2^29`` and ``a_lo, x_lo < 2^32``):
+
+    * the input is reduced, which is what bounds ``x_hi``;
+    * ``8 · a_hi · x_hi < 2^61`` needs no reduction;
+    * the middle sum ``a_hi · x_lo + a_lo · x_hi < 2^62`` is folded once,
+      unreduced, to a value below ``2^61 + 2^33``;
+    * ``a_lo · x_lo < 2^64`` is reduced, to below ``2^61``;
+    * the sum of the three terms and ``b`` is below ``2^64``, so one final
+      reduction gives the exact residue.
+
+    Each skipped reduction only leaves a summand larger than ``p`` but
+    congruent to the eager one, so the hash function is the same.  A signed
+    key array with a negative key raises ``ValueError``: its uint64 cast
+    would wrap, while :meth:`PairwiseHash.hash_int` reduces the integer.
     """
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "i" and keys.size and int(keys.min()) < 0:
+        raise ValueError(
+            f"hash key {int(keys.min())} is outside [0, 2^64); keys must be "
+            "unsigned 64-bit integers"
+        )
     keys_u64 = np.ascontiguousarray(keys, dtype=np.uint64)
-    reduced = _mod_mersenne(keys_u64)
+    x_lo = _mod_mersenne(keys_u64.copy())
+    x_hi = x_lo >> np.uint64(32)
+    x_lo &= _LOW32_U64
 
     a_u64 = np.asarray(a, dtype=np.uint64)
     a_hi = a_u64 >> np.uint64(32)
     a_lo = a_u64 & _LOW32_U64
-    x_hi = reduced >> np.uint64(32)
-    x_lo = reduced & _LOW32_U64
 
-    # a·x = a_hi·x_hi·2^64 + (a_hi·x_lo + a_lo·x_hi)·2^32 + a_lo·x_lo,
-    # with every partial product below 2^64.
-    high = _mod_mersenne(np.uint64(8) * (a_hi * x_hi))
-    middle = _mod_mersenne(a_hi * x_lo + a_lo * x_hi)
-    middle = _mod_mersenne(
-        (middle >> np.uint64(29)) + ((middle & _LOW29_U64) << np.uint64(32))
-    )
-    low = _mod_mersenne(a_lo * x_lo)
+    # a·x = a_hi·x_hi·2^64 + (a_hi·x_lo + a_lo·x_hi)·2^32 + a_lo·x_lo.
+    total = a_hi * x_hi
+    total <<= np.uint64(3)
+    middle = a_hi * x_lo
+    x_hi *= a_lo
+    middle += x_hi
+    middle_low = x_hi
+    np.bitwise_and(middle, _LOW29_U64, out=middle_low)
+    middle_low <<= np.uint64(32)
+    middle >>= np.uint64(29)
+    total += middle
+    total += middle_low
+    x_lo *= a_lo
+    total += _mod_mersenne(x_lo)
+    total += np.asarray(b, dtype=np.uint64)
 
-    total = _mod_mersenne(high + middle + low + np.asarray(b, dtype=np.uint64))
-    return total.astype(np.float64) / float(MERSENNE_PRIME)
+    values = _mod_mersenne(total).astype(np.float64)
+    values /= _PRIME_FLOAT
+    return values
 
 
 class PairwiseHash:
@@ -201,17 +242,25 @@ class PairwiseHash:
 
         The float conversion happens before the division (rather than
         dividing exact integers) so that the scalar and the vectorised
-        :meth:`hash_many` paths produce bit-identical values.
+        :meth:`hash_many` paths produce bit-identical values.  Keys are
+        64-bit unsigned integers; one outside ``[0, 2^64)`` raises
+        ``ValueError``, as it does in :meth:`hash_many`.
         """
-        value = (self._a * (int(key) % MERSENNE_PRIME) + self._b) % MERSENNE_PRIME
+        key = int(key)
+        if not 0 <= key <= _MASK_64:
+            raise ValueError(
+                f"hash key {key} is outside [0, 2^64); keys must be unsigned 64-bit integers"
+            )
+        value = (self._a * (key % MERSENNE_PRIME) + self._b) % MERSENNE_PRIME
         return float(value) / _PRIME_FLOAT
 
     def hash_many(self, keys: np.ndarray) -> np.ndarray:
         """Hash an array of integer keys to floats in ``[0, 1)``.
 
         Fully vectorised and bit-identical to :meth:`hash_int`; delegates to
-        the module-level :func:`hash_keys`, which the compiled kernels also
-        mirror scalar-for-scalar.
+        the module-level :func:`hash_keys`, whose outputs the compiled
+        kernels reproduce.  A negative key in a signed array raises
+        ``ValueError`` rather than wrapping modulo ``2^64``.
         """
         return hash_keys(keys, self._a, self._b)
 

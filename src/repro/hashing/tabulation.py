@@ -1,10 +1,10 @@
 """Simple tabulation hashing.
 
 Tabulation hashing (Zobrist hashing) is 3-independent and has strong
-concentration properties far beyond its formal independence.  We provide it
-as an alternative to the multiply-add pairwise family for users who want
-stronger guarantees in the filter construction, and it is used internally by
-the MinHash baseline to permute item ids.
+concentration properties far beyond its formal independence.  The MinHash
+baseline uses it to permute item ids.  The filter construction does not:
+it hashes paths with the multiply-add pairwise family of
+:mod:`repro.hashing.pairwise`, and tabulation measured no faster there.
 """
 
 from __future__ import annotations

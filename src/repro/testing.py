@@ -39,6 +39,7 @@ ROLE_SEEDS: dict[str, int] = {
     "bench:shard-fanout-queries": 7402,
     "tests:chaos-queries": 7403,
     "bench:latency-queries": 7404,
+    "tests:hash-grid": 7500,
 }
 
 

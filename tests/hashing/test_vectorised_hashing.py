@@ -18,29 +18,25 @@ from repro.hashing.pairwise import (
     PathHasher,
     extend_key,
     extend_keys,
+    hash_keys,
     splitmix64,
     splitmix64_array,
 )
 
-EDGE_KEYS = [
-    0,
-    1,
-    MERSENNE_PRIME - 1,
-    MERSENNE_PRIME,
-    MERSENNE_PRIME + 1,
-    2 * MERSENNE_PRIME,
-    (1 << 63) - 1,
-    1 << 63,
-    (1 << 64) - 1,
-]
-
-
 @pytest.fixture(scope="module")
-def random_keys() -> np.ndarray:
+def random_keys(hash_edge_keys) -> np.ndarray:
     rng = np.random.default_rng(4242)
     keys = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
-    keys[: len(EDGE_KEYS)] = EDGE_KEYS
+    keys[: len(hash_edge_keys)] = hash_edge_keys
     return keys
+
+
+def _exact_hashes(keys, a, b) -> list[float]:
+    """The multiply-add-prime hash on Python integers, which never overflow."""
+    return [
+        float((coefficient * (key % MERSENNE_PRIME) + offset) % MERSENNE_PRIME) / MERSENNE_PRIME
+        for key, coefficient, offset in zip(keys, a, b)
+    ]
 
 
 class TestVectorisedPairwiseHash:
@@ -58,6 +54,35 @@ class TestVectorisedPairwiseHash:
 
     def test_empty_input(self):
         assert PairwiseHash(0).hash_many(np.empty(0, dtype=np.uint64)).size == 0
+
+    def test_keys_outside_uint64_raise(self):
+        hash_function = PairwiseHash(3)
+        with pytest.raises(ValueError, match="-5"):
+            hash_function.hash_many(np.array([-1, -5, 7]))
+        for key in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=str(key)):
+                hash_function.hash_int(key)
+
+
+class TestLazyReductionBounds:
+    """``hash_keys`` equals the exact formula where its skipped reductions are tightest."""
+
+    def test_scalar_coefficients(self, hash_grid):
+        keys, pairs = hash_grid
+        count = keys.size
+        for a, b in pairs:
+            expected = _exact_hashes(keys.tolist(), [a] * count, [b] * count)
+            assert hash_keys(keys, a, b).tolist() == expected, (a, b)
+
+    def test_per_key_coefficients(self, hash_grid):
+        keys, pairs = hash_grid
+        # Every key with every pair, as a fused pass gives each key its row.
+        table = np.array(pairs, dtype=np.uint64)
+        rows = np.tile(np.arange(len(pairs)), keys.size)
+        all_keys = np.repeat(keys, len(pairs))
+        a, b = table[rows, 0], table[rows, 1]
+        expected = _exact_hashes(all_keys.tolist(), a.tolist(), b.tolist())
+        assert hash_keys(all_keys, a, b).tolist() == expected
 
 
 class TestVectorisedSplitmix:

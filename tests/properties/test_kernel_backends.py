@@ -37,7 +37,7 @@ from repro.core.kernels._contract import (
     PATHS_EXTENDED,
 )
 from repro.core.skewed_index import SkewAdaptiveIndex
-from repro.hashing.pairwise import PathHasher
+from repro.hashing.pairwise import PathHasher, extend_key, hash_keys
 from repro.similarity.predicates import SimilarityPredicate
 from repro.testing import rng_for
 
@@ -220,6 +220,74 @@ def test_extend_level_with_repetition_tables(backend, max_paths):
     assert fused[2] == [log for part in alone for log in part[2]]
     for column in (3, 4, 5):
         assert fused[column] == np.sum([part[column] for part in alone], axis=0).tolist()
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_extend_level_truncation_boundary(backend, offset):
+    """The ``max_paths`` cap on both sides of the highest run a level can reach.
+
+    Every candidate is chosen (probability 1.0) and belongs to vector 1,
+    which also holds the largest finished count.  Its run at the last
+    candidate is then ``num_candidates + max(vec_finished)``: a cap equal to
+    that cuts off at the last candidate, one below cuts off the candidate
+    before it, and one above never binds.
+    """
+    entry_offsets = np.array([0, 2, 5, 7], dtype=np.int64)
+    entry_vector = np.array([1, 1, 1], dtype=np.int64)
+    vec_finished = np.array([2, 4, 3], dtype=np.int64)
+    prefix_keys = np.array([11, 11, 12, 12, 12, 13, 13], dtype=np.uint64)
+    items = np.array([3, 8, 1, 4, 9, 2, 6], dtype=np.int64)
+    parent_logs = np.full(7, -0.5)
+    item_logs = np.array([-0.1, -2.0, -0.3, -3.0, -0.2, -0.4, -2.5])
+    a, b = (np.array([value], dtype=np.uint64) for value in PathHasher(5).level_coefficients(1))
+    boundary = items.size + int(vec_finished.max())
+
+    def run(impl):
+        counters = new_counters()
+        new_keys, status, new_logs, expansions, truncated = impl.extend_level(
+            prefix_keys, items, np.ones(7), parent_logs, item_logs, entry_offsets,
+            entry_vector, np.zeros(3, dtype=np.int64), 3, vec_finished, -1.0, True,
+            boundary + offset, a, b, counters,
+        )
+        chosen = status != 0
+        return (
+            status.tolist(),
+            new_keys[chosen].tolist(),
+            new_logs[chosen].tolist(),
+            expansions.tolist(),
+            truncated.tolist(),
+            counters.tolist(),
+        )
+
+    outputs = run(get_impl())
+    assert outputs == run(_python_impl())
+    status, keys, logs, expansions, truncated, counters = outputs
+    kept = 6 if offset < 0 else 7
+    assert status == [1, 2, 1, 2, 1, 1, 2][:kept] + [0] * (7 - kept)
+    assert keys == [extend_key(int(k), int(i)) for k, i in zip(prefix_keys, items)][:kept]
+    assert logs == (parent_logs + item_logs)[:kept].tolist()
+    assert expansions == [0, 3, 0]
+    assert truncated == [False, offset <= 0, False]
+    assert counters[PATHS_EXTENDED] == kept
+    assert counters[KEYS_FOLDED] == 7
+    assert counters[CHAIN_PROBES] == counters[MERGE_ROWS] == counters[DEDUPE_HITS] == 0
+
+
+def test_numba_hash_equals_lazy_hash_keys(hash_grid):
+    """The compiled scalar hash, reduced eagerly, equals the lazily reduced ``hash_keys``."""
+    if "numba" not in available_backends():
+        pytest.skip("kernel backend 'numba' is not installed")
+    from repro.core.kernels import _numba_impl
+
+    keys, pairs = hash_grid
+    low32 = np.uint64((1 << 32) - 1)
+    for a, b in pairs:
+        a_u64, b_u64 = np.uint64(a), np.uint64(b)
+        compiled = [
+            _numba_impl._hash_key(key, a_u64 >> np.uint64(32), a_u64 & low32, b_u64)
+            for key in keys
+        ]
+        assert compiled == hash_keys(keys, a, b).tolist(), (a, b)
 
 
 def test_kernel_level_equivalence(backend):
