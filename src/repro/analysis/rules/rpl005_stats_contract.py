@@ -41,11 +41,8 @@ _DECLARED = frozenset().union(*_RECORD_FIELDS.values())
 #: (``Class.method`` or a module-level function name), so delegating
 #: wrappers on the index classes are not held to the engine's contract.
 SURFACE_CONTRACT: dict[str, frozenset[str]] = {
-    # The per-repetition probe accounting of every read runner lives in one
-    # place: a lone query's in ``stream``, a chunk's in ``chunk``.
-    "_WaveProbes.stream": frozenset(
-        {"filters_generated", "repetitions_used", "shards_probed"}
-    ),
+    # The per-repetition probe accounting of both read runners lives in one
+    # place, ``chunk``; ``query`` is a one-query chunk of the first runner.
     "_WaveProbes.chunk": frozenset(
         {
             "filters_generated",
@@ -56,24 +53,21 @@ SURFACE_CONTRACT: dict[str, frozenset[str]] = {
             "duplicate_filter_probes",
         }
     ),
-    "FilterEngine._query_csr": frozenset(
-        {
-            "candidates_examined",
-            "unique_candidates",
-            "similarity_evaluations",
-            "found",
-        }
-    ),
     # The chunk counters reach the batch through ``accumulate``.
     "FilterEngine._execute_batched": frozenset(
         {"num_queries", "queries_deduplicated", "elapsed_seconds"}
     ),
+    # The as-if stop: a ``"first"`` hit ends its query's counts.
     "FilterEngine._query_batch_chunk": frozenset(
         {
             "num_queries",
             "generation_seconds",
             "verification_seconds",
             "merge_seconds",
+            "candidates_examined",
+            "unique_candidates",
+            "similarity_evaluations",
+            "found",
         }
     ),
     # ``query_candidates`` runs as a one-query chunk of this.

@@ -243,7 +243,7 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     """Where each run of equal consecutive ``values`` begins."""
     starts = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return np.flatnonzero(starts)
+    return starts.nonzero()[0]
 
 
 def _distinct_probes(
@@ -396,28 +396,21 @@ class _WaveProbes:
         self.seconds += time.perf_counter() - start - (self._waves.seconds - generating)
         return vector_offsets, ids, offsets, route, slots, distinct
 
-    def stream(self, repetition: int, stats: QueryStats) -> np.ndarray:
-        """:meth:`probe` for a lone query: its collision stream, accounted."""
-        vector_offsets, ids, _offsets, route, _slots, _distinct = self.probe(repetition, (0,))
-        stats.filters_generated += int(vector_offsets[-1])
-        stats.repetitions_used += 1
-        # The probe reports which shard each key resolved to, so shard
-        # accounting never routes the same keys a second time.
-        stats.shards_probed += int(np.unique(route).size)
-        return ids
-
     def chunk(
         self, repetition: int, live: Sequence[int], chunk_stats: BatchQueryStats
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """:meth:`probe` for a chunk: per-query collision streams, accounted.
 
-        Returns ``(occurrence_ids, query_offsets)`` — live query ``k`` owns
-        ``occurrence_ids[query_offsets[k]:query_offsets[k + 1]]``, its
-        filters' posting lists in path order — or ``None`` when no live query
-        generated a filter.  Accounts every as-if count the repetition moves:
-        the chunk's distinct / duplicate probes and distinct shards, and per
-        live query its filters, its stream length and the distinct shards its
-        own filters routed to, all from the probe's one routing vector.
+        Returns ``(occurrence_ids, occurrence_labels)``: the live queries'
+        streams concatenated in ``live`` order — each query's filters' posting
+        lists in path order — and each occurrence's label, its query's chunk
+        position (ascending, so a label's stream ends where
+        ``occurrence_labels.searchsorted(label, side="right")`` says).
+        ``None`` when no live query collided with anything.  Accounts every
+        as-if count the repetition moves: the chunk's distinct / duplicate
+        probes and distinct shards, and per live query its filters, its
+        stream length and the distinct shards its own filters routed to, all
+        from the probe's one routing vector.
         """
         vector_offsets, ids, offsets, route, slots, distinct = self.probe(repetition, live)
         num_filters = int(vector_offsets[-1])
@@ -430,33 +423,41 @@ class _WaveProbes:
             occurrence_ids, occurrence_bounds, filter_route = ids, offsets, route
         else:
             # Re-expand the distinct probes' segments to one per filter.
-            per_path = np.diff(offsets)[slots]
+            per_path = (offsets[1:] - offsets[:-1])[slots]
             occurrence_ids = _segment_gather(ids, offsets[:-1][slots], per_path)
             occurrence_bounds = np.zeros(num_filters + 1, dtype=OFFSET_DTYPE)
             np.cumsum(per_path, out=occurrence_bounds[1:])
             filter_route = route[slots]
         query_offsets = occurrence_bounds[vector_offsets]
-        # Mark the chunk's distinct (query, shard) pairs, count them both ways.
-        filter_counts = np.diff(vector_offsets)
-        touched = np.zeros((len(live), int(filter_route.max()) + 1), dtype=bool)
-        filter_query = np.repeat(np.arange(len(live), dtype=OFFSET_DTYPE), filter_counts)
-        touched[filter_query, filter_route] = True
+        filter_counts = vector_offsets[1:] - vector_offsets[:-1]
+        stream_counts = query_offsets[1:] - query_offsets[:-1]
+        # The distinct shards the chunk touched, and each query.  (Array
+        # methods and ufuncs throughout: a repetition's arrays are small, so
+        # numpy's Python-level wrappers would cost more than the work.)
+        width = int(np.maximum.reduce(filter_route)) + 1
+        if width == 1:  # one shard, say an in-memory store
+            query_shards = (filter_counts > 0).astype(np.int64)
+            chunk_stats.shards_probed += 1
+        else:
+            filter_query = np.arange(len(live), dtype=OFFSET_DTYPE).repeat(filter_counts)
+            touched = np.zeros((len(live), width), dtype=bool)
+            touched[filter_query, filter_route] = True
+            query_shards = touched.sum(axis=1)
+            chunk_stats.shards_probed += int(np.count_nonzero(np.logical_or.reduce(touched)))
         chunk_stats.distinct_filter_probes += distinct
         chunk_stats.duplicate_filter_probes += num_filters - distinct
-        chunk_stats.shards_probed += int(np.count_nonzero(touched.any(axis=0)))
         self.seconds += time.perf_counter() - start
         for index, count, examined, shards in zip(
-            live,
-            filter_counts.tolist(),
-            np.diff(query_offsets).tolist(),
-            touched.sum(axis=1).tolist(),
+            live, filter_counts.tolist(), stream_counts.tolist(), query_shards.tolist()
         ):
             query_stats = chunk_stats.per_query[index]
             query_stats.filters_generated += count
             query_stats.repetitions_used += 1
             query_stats.candidates_examined += examined
             query_stats.shards_probed += shards
-        return occurrence_ids, query_offsets
+        if not occurrence_ids.size:
+            return None
+        return occurrence_ids, np.asarray(live, dtype=np.int64).repeat(stream_counts)
 
 
 class FilterEngine:
@@ -844,89 +845,20 @@ class FilterEngine:
         (vector_id, stats):
             ``vector_id`` is the index of the reported vector in the built
             dataset, or ``None`` when no candidate met the threshold.
+            ``stats`` is the paper's as-if work (see :class:`QueryStats`).
+
+        The query runs as a one-query chunk of :meth:`query_batch`'s runner
+        (so it never drains a shard router's pending fan-out record); the
+        chunk's kernel counters are the query's.
         """
         if mode not in ("first", "best"):
             raise ValueError(f"mode must be 'first' or 'best', got {mode!r}")
-        query_set = frozenset(int(item) for item in query)
-        stats = QueryStats()
-        if not query_set or not len(self._vectors):
-            return None, stats
-        return self._query_csr(query_set, mode, stats)
-
-    def _query_csr(
-        self, query_set: frozenset[int], mode: str, stats: QueryStats
-    ) -> tuple[int | None, QueryStats]:
-        """CSR-native single query: batch-probe each repetition's filters,
-        dedupe the gathered postings in first-appearance order, and verify
-        the merged candidate array in one vectorised pass per repetition.
-
-        Work counters are execution-strategy independent: in ``"first"``
-        mode they are rolled back to the point where a per-candidate loop
-        would have stopped (the hit's first position in the collision
-        stream), because ``candidates_examined`` is the paper's work measure
-        — RAM-mode and mmap-mode execution therefore report identical work
-        (only ``shards_probed`` reflects the storage layout).
-        """
-        evaluated = np.zeros(len(self._vectors), dtype=bool)
-        removed = self._removed_lookup()
-        query = self._label_sets((query_set,))
-        best_id: int | None = None
-        best_similarity = -1.0
-        impl = get_impl()
-        counters = new_counters()
-        # A lone query generates every repetition in one pass, whose fixed
-        # per-level cost is the same for one row as for one per repetition.
-        # ``filters_generated`` still counts only the repetitions the query
-        # gets to; the kernel counters count the whole pass.
-        waves = _FilterWaves(self._generator, self._threshold_policy, (query_set,), counters)
-        probes = _WaveProbes(self, waves, exhaustive=mode == "best")
-
-        for repetition in range(self._repetitions):
-            ids = probes.stream(repetition, stats)
-            if not ids.size:
-                continue
-            # First-appearance dedupe: candidates must be evaluated in the
-            # order the probes surfaced them for the "first acceptable
-            # candidate" semantics to match the reference loop.
-            ordered, ordered_first = impl.ordered_unique(ids, counters)
-            fresh = ~evaluated[ordered]
-            if removed is not None:
-                fresh &= ~removed[ordered]
-            ordered_new = ordered[fresh]
-            if not ordered_new.size:
-                stats.candidates_examined += int(ids.size)
-                continue
-            evaluated[ordered_new] = True
-            similarities = self._pair_similarities(query, np.zeros_like(ordered_new), ordered_new)
-            if mode == "first":
-                hits = np.flatnonzero(similarities >= self._acceptance_threshold)
-                if hits.size:
-                    # The reference loop stops at the hit's first appearance
-                    # in the collision stream; account only the work up to
-                    # that point.
-                    hit = int(hits[0])
-                    stats.candidates_examined += int(ordered_first[fresh][hit]) + 1
-                    stats.unique_candidates += hit + 1
-                    stats.similarity_evaluations += hit + 1
-                    stats.found = True
-                    stats.kernel.add_counters(counters)
-                    return int(ordered_new[hit]), stats
-            else:
-                top_position = int(np.argmax(similarities))
-                top_similarity = float(similarities[top_position])
-                if (
-                    top_similarity >= self._acceptance_threshold
-                    and top_similarity > best_similarity
-                ):
-                    best_similarity = top_similarity
-                    best_id = int(ordered_new[top_position])
-            stats.candidates_examined += int(ids.size)
-            stats.unique_candidates += int(ordered_new.size)
-            stats.similarity_evaluations += int(ordered_new.size)
-
-        stats.found = best_id is not None
-        stats.kernel.add_counters(counters)
-        return best_id, stats
+        (result,), chunk_stats = self._query_batch_chunk(
+            [frozenset(int(item) for item in query)], mode
+        )
+        stats = chunk_stats.per_query[0]
+        stats.kernel = chunk_stats.kernel
+        return result, stats
 
     def query_candidates(self, query: SetLike) -> tuple[set[int], QueryStats]:
         """All distinct candidate ids colliding with the query, plus stats.
@@ -960,7 +892,9 @@ class FilterEngine:
         """Answer many queries at once, amortising work across the batch.
 
         Returns exactly the ids ``[query(q, mode)[0] for q in queries]``
-        would return, but executes the batch through the vectorised
+        would return, and per query exactly ``query(q, mode)[1]``'s work
+        counters (a duplicate query's entry is a cache hit), but executes
+        the batch through the vectorised
         subsystem: filter generation is level-synchronous across the whole
         batch (one hash call per level per repetition), the batch's folded
         path keys are deduplicated and resolved in one array probe per
@@ -1019,13 +953,10 @@ class FilterEngine:
         final set materialisation.  The parameters are
         :meth:`query_batch`'s.
         """
-        return self._execute_batched(
-            queries,
-            lambda chunk: self._query_candidates_chunk(chunk, allow_partial, deadline),
-            batch_size,
-            deduplicate,
-            deadline,
+        arrays, stats = self.query_candidates_arrays_batch(
+            queries, batch_size, deduplicate, allow_partial, deadline
         )
+        return [set(candidates.tolist()) for candidates in arrays], stats
 
     def query_candidates_arrays_batch(
         self,
@@ -1101,8 +1032,7 @@ class FilterEngine:
         final_results: list[Any] = []
         answered: set[int] = set()
         for position in source:
-            value = unique_results[position]
-            final_results.append(set(value) if isinstance(value, set) else value)
+            final_results.append(unique_results[position])
             entry = unique_stats[position]
             merged.per_query.append(entry.cache_hit() if position in answered else entry)
             answered.add(position)
@@ -1137,6 +1067,12 @@ class FilterEngine:
         n + id`` (label: the query's chunk position), so one first-appearance
         ``ordered_unique`` over the label-major stream is every query's own
         dedupe concatenated, and one segmented pass verifies the new pairs.
+
+        Each query's counts are the paper's as-if work: in ``"first"`` mode
+        they end at its hit — the hit's first appearance in the query's own
+        collision stream, and its rank among the query's new pairs — where
+        the paper's per-candidate loop stops, even though the pass verified
+        the whole repetition.
         """
         chunk_stats = BatchQueryStats(
             num_queries=len(chunk), per_query=[QueryStats() for _ in chunk]
@@ -1151,7 +1087,6 @@ class FilterEngine:
         queries = self._label_sets(chunk)
         # The (label, id) pairs verified so far, sorted and packed like ``labelled``.
         evaluated = np.array([_SENTINEL], dtype=np.int64)
-        verified = np.zeros(len(chunk), dtype=np.int64)
         best_ids = np.full(len(chunk), -1, dtype=np.int64)
         best_similarities = np.full(len(chunk), -1.0, dtype=np.float64)
         removed = self._removed_lookup()
@@ -1166,32 +1101,46 @@ class FilterEngine:
             streams = probes.chunk(repetition, active, chunk_stats)
             if streams is None:
                 continue
-            occurrence_ids, query_offsets = streams
+            occurrence_ids, occurrence_labels = streams
             merge_start = time.perf_counter()
-            label_bases = np.asarray(active, dtype=np.int64) * stride
-            labelled = np.repeat(label_bases, np.diff(query_offsets)) + occurrence_ids
-            ordered, _first_positions = impl.ordered_unique(labelled, counters)
-            fresh = evaluated[np.searchsorted(evaluated, ordered)] != ordered
-            labels, candidate_ids = np.divmod(ordered, stride)
+            labelled = occurrence_labels * stride
+            labelled += occurrence_ids
+            ordered, first_positions = impl.ordered_unique(labelled, counters)
+            fresh = evaluated[evaluated.searchsorted(ordered)] != ordered
             if removed is not None:
-                fresh &= ~removed[candidate_ids]
-            # The fresh pairs are distinct and new: sorting the union is its merge.
-            evaluated = np.sort(np.concatenate((evaluated, ordered[fresh])))
+                fresh &= ~removed[ordered % stride]
+            pairs = ordered[fresh]
+            if pairs.size:
+                # The fresh pairs are distinct and new: sorting the union is its merge.
+                evaluated = np.sort(np.concatenate((evaluated, pairs)))
             chunk_stats.merge_seconds += time.perf_counter() - merge_start
-            if not fresh.any():
+            if not pairs.size:
                 continue
             verification_start = time.perf_counter()
-            labels, candidate_ids = labels[fresh], candidate_ids[fresh]
+            labels, candidate_ids = np.divmod(pairs, stride)
             similarities = self._pair_similarities(queries, labels, candidate_ids)
-            verified += np.bincount(labels, minlength=len(chunk))
             if mode == "first":
-                hits = np.flatnonzero(similarities >= self._acceptance_threshold)
+                hits = (similarities >= self._acceptance_threshold).nonzero()[0]
                 if hits.size:
-                    # The first hit of each label, in first-appearance order.
+                    # The first hit of each label, in first-appearance order,
+                    # and how much of the label's stream and new pairs follow it.
                     firsts = hits[_run_starts(labels[hits])]
-                    for label, vector_id in zip(labels[firsts], candidate_ids[firsts].tolist()):
+                    hit_labels = labels[firsts]
+                    unseen = occurrence_labels.searchsorted(hit_labels, side="right")
+                    unseen -= first_positions[fresh][firsts] + 1
+                    unverified = labels.searchsorted(hit_labels, side="right") - firsts - 1
+                    for label, vector_id, skipped, spared in zip(
+                        hit_labels.tolist(),
+                        candidate_ids[firsts].tolist(),
+                        unseen.tolist(),
+                        unverified.tolist(),
+                    ):
                         results[label] = vector_id
-                        chunk_stats.per_query[label].found = True
+                        query_stats = chunk_stats.per_query[label]
+                        query_stats.found = True
+                        query_stats.candidates_examined -= skipped
+                        query_stats.unique_candidates -= spared
+                        query_stats.similarity_evaluations -= spared
                     active = [index for index in active if results[index] is None]
             else:
                 # Each label's most similar candidate; ties go to the first.
@@ -1204,6 +1153,9 @@ class FilterEngine:
                 best_ids[top_labels[better]] = candidate_ids[top[better]]
             chunk_stats.verification_seconds += time.perf_counter() - verification_start
 
+        # Every pair verified, per label (less, above, what followed a hit);
+        # the sentinel sorts last.
+        verified = np.bincount(evaluated[:-1] // stride, minlength=len(chunk))
         for query_stats, count in zip(chunk_stats.per_query, verified.tolist()):
             query_stats.unique_candidates += count
             query_stats.similarity_evaluations += count
@@ -1248,11 +1200,8 @@ class FilterEngine:
         for repetition in range(self._repetitions):
             streams = probes.chunk(repetition, active, chunk_stats)
             if streams is not None:
-                occurrence_ids, query_offsets = streams
-                id_parts.append(occurrence_ids)
-                label_parts.append(
-                    np.repeat(np.arange(len(active), dtype=np.int64), np.diff(query_offsets))
-                )
+                id_parts.append(streams[0])
+                label_parts.append(streams[1])
 
         merge_start = time.perf_counter()
         if id_parts:
@@ -1268,26 +1217,16 @@ class FilterEngine:
                     ids_unique = ids_unique[alive]
                     labels_unique = labels_unique[alive]
                 boundaries = np.searchsorted(
-                    labels_unique, np.arange(len(active) + 1, dtype=np.int64)
+                    labels_unique, np.arange(len(chunk) + 1, dtype=np.int64)
                 )
-                for position, index in enumerate(active):
-                    segment = ids_unique[boundaries[position] : boundaries[position + 1]]
+                for index in active:
+                    segment = ids_unique[boundaries[index] : boundaries[index + 1]]
                     results[index] = segment
                     chunk_stats.per_query[index].unique_candidates = int(segment.size)
         chunk_stats.merge_seconds += probes.seconds + time.perf_counter() - merge_start
         chunk_stats.generation_seconds = waves.seconds
         chunk_stats.kernel.add_counters(counters)
         return results, chunk_stats
-
-    def _query_candidates_chunk(
-        self,
-        chunk: Sequence[frozenset[int]],
-        allow_partial: bool = False,
-        deadline: float | None = None,
-    ) -> tuple[list[set[int]], BatchQueryStats]:
-        """Batched candidate enumeration for one chunk of queries (as sets)."""
-        arrays, chunk_stats = self._candidate_arrays_chunk(chunk, allow_partial, deadline)
-        return [set(candidates.tolist()) for candidates in arrays], chunk_stats
 
     # ------------------------------------------------------------------ #
     # Vectorised candidate verification
@@ -1311,8 +1250,8 @@ class FilterEngine:
             itertools.chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum())
         )
         stride = self._probabilities.size
-        members = np.sort(np.repeat(np.arange(len(sets), dtype=np.int64) * stride, sizes) + items)
-        return _LabelledSets(sets, np.append(members, _SENTINEL), sizes, stride)
+        members = (np.arange(len(sets), dtype=np.int64) * stride).repeat(sizes) + items
+        return _LabelledSets(sets, np.sort(np.append(members, _SENTINEL)), sizes, stride)
 
     def _pair_similarities(
         self,
@@ -1340,9 +1279,9 @@ class FilterEngine:
         items = _segment_gather(flat_items, starts[candidate_ids], lengths).astype(
             np.int64, copy=False
         )
-        pair = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        pair = np.arange(lengths.size, dtype=np.int64).repeat(lengths)
         # A lone set's label is 0: its members are its items.
         labelled = items if len(queries.sets) == 1 else labels[pair] * queries.stride + items
-        matches = queries.members[np.searchsorted(queries.members, labelled)] == labelled
+        matches = queries.members[queries.members.searchsorted(labelled)] == labelled
         common = np.bincount(pair[matches], minlength=lengths.size)
         return from_counts(common, lengths, queries.sizes[labels])

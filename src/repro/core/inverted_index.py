@@ -80,15 +80,15 @@ def _segments_differ(
     behind every folded-key match (compaction, probing, probe dedupe).
     """
     differ = np.zeros(lengths.size, dtype=bool)
-    check = np.flatnonzero(lengths > 0)
+    check = (lengths > 0).nonzero()[0]
     if check.size:
         check_lengths = lengths[check]
         mismatched = _segment_gather(
             left_items, left_starts[check], check_lengths
         ) != _segment_gather(right_items, right_starts[check], check_lengths)
-        if np.any(mismatched):
+        if mismatched.any():
             differ[check] = (
-                np.add.reduceat(mismatched, np.cumsum(check_lengths) - check_lengths) > 0
+                np.add.reduceat(mismatched, check_lengths.cumsum() - check_lengths) > 0
             )
     return differ
 
@@ -179,7 +179,7 @@ def _resolve_slots(
     store_keys = table.keys
     if store_keys.size == 0:
         return np.zeros(keys.size, dtype=np.int64), np.zeros(keys.size, dtype=bool)
-    positions = np.searchsorted(store_keys, keys)
+    positions = store_keys.searchsorted(keys)
     clipped = np.minimum(positions, store_keys.size - 1)
     found = store_keys[clipped] == keys
     slots = np.where(found, clipped, 0)
@@ -188,7 +188,7 @@ def _resolve_slots(
     path_offsets = table.path_offsets
     slot_lengths = path_offsets[slots + 1] - path_offsets[slots]
     stored = found & (slot_lengths == probe_lengths)
-    check = np.flatnonzero(stored)
+    check = stored.nonzero()[0]
     stored[check] = ~_segments_differ(
         path_items,
         path_offsets[slots[check]],
@@ -849,10 +849,10 @@ class InvertedFilterIndex:
             np.ascontiguousarray(keys, dtype=KEY_DTYPE),
             probe_items,
             probe_offsets[:-1],
-            np.diff(probe_offsets),
+            probe_offsets[1:] - probe_offsets[:-1],
         )
         offsets = np.zeros(lengths.size + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(lengths, out=offsets[1:])
+        lengths.cumsum(out=offsets[1:])
         return ids, offsets, np.zeros(lengths.size, dtype=np.int64)
 
     def candidates(

@@ -74,17 +74,17 @@ def extend_level(
     only when the cap can bind.
     """
     num_candidates = int(cand_items.size)
-    lengths = np.diff(entry_offsets)
+    lengths = entry_offsets[1:] - entry_offsets[:-1]
 
     new_keys = extend_keys(cand_prefix_keys, cand_items)
     if a.size == 1:
         # One repetition: scalar coefficients broadcast, no per-candidate gather.
         hash_values = hash_keys(new_keys, a[0], b[0])
     else:
-        cand_repetition = np.repeat(entry_repetition, lengths)
+        cand_repetition = entry_repetition.repeat(lengths)
         hash_values = hash_keys(new_keys, a[cand_repetition], b[cand_repetition])
     chosen = hash_values < cand_probs
-    chosen_idx = np.flatnonzero(chosen)
+    chosen_idx = chosen.nonzero()[0]
 
     # Logs and the stop rule are evaluated at chosen candidates only: the
     # contract leaves ``new_logs`` unspecified where ``status == 0``.

@@ -59,13 +59,16 @@ def _segment_gather(
     """Concatenate ``source[starts[k] : starts[k] + lengths[k]]`` for all k.
 
     The workhorse of the CSR pipeline: one fancy-indexing pass replaces a
-    Python loop over variable-length segments.
+    Python loop over variable-length segments.  It runs several times per
+    query repetition on a handful of segments, so it calls array methods
+    rather than numpy's Python-level wrappers, which would cost more than
+    the work.
     """
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=source.dtype)
-    out_starts = np.cumsum(lengths) - lengths
-    indices = np.arange(total, dtype=np.int64) + np.repeat(starts - out_starts, lengths)
+    out_starts = lengths.cumsum() - lengths
+    indices = np.arange(total, dtype=np.int64) + (starts - out_starts).repeat(lengths)
     return source[indices]
 
 
@@ -611,7 +614,7 @@ class PathGenerator:
             # candidates entry-major with positions ascending — the serial
             # order.
             available = np.unpackbits(f_masks.view(np.uint8), axis=1, bitorder="little")
-            entry_index, position = np.divmod(np.flatnonzero(available), available.shape[1])
+            entry_index, position = np.divmod(available.ravel().nonzero()[0], available.shape[1])
             if entry_index.size == 0:
                 # Serial semantics: entries with no remaining items are
                 # dropped, never collected — empty the frontier before
@@ -621,10 +624,10 @@ class PathGenerator:
                 f_nodes = f_nodes[:0]
                 break
             counts = np.bincount(entry_index, minlength=f_vec.size)
-            used_entries = np.flatnonzero(counts)
+            used_entries = counts.nonzero()[0]
             entry_vector = f_vec[used_entries]
             entry_offsets = np.zeros(used_entries.size + 1, dtype=OFFSET_DTYPE)
-            np.cumsum(counts[used_entries], out=entry_offsets[1:])
+            counts[used_entries].cumsum(out=entry_offsets[1:])
 
             cand_vec = f_vec[entry_index]
             gather = row_item_starts[cand_vec] + position
@@ -656,7 +659,7 @@ class PathGenerator:
             )
             expansions += level_expansions
 
-            kept = np.flatnonzero(status)
+            kept = status.nonzero()[0]
             kept_status = status[kept]
             kept_vec = cand_vec[kept]
             kept_keys = new_keys[kept]

@@ -278,6 +278,14 @@ class BuildStats(StatsRecord):
 class QueryStats(StatsRecord):
     """Statistics collected while answering one query.
 
+    The work counters are the paper's *as-if* work, the same on every
+    surface (``query``, each ``query_batch`` entry, RAM, mmap or routed):
+    in ``mode="first"`` the paper's query stops at the first candidate that
+    meets the threshold, so ``candidates_examined``, ``unique_candidates``
+    and ``similarity_evaluations`` end at that hit, even where the engine
+    verified the rest of the hit's repetition in the same vectorised pass.
+    ``kernel`` is the one record of work actually done.
+
     Attributes
     ----------
     filters_generated:
@@ -285,13 +293,15 @@ class QueryStats(StatsRecord):
         chose.
     candidates_examined:
         Number of (filter, stored vector) collisions inspected, i.e.
-        ``Σ_x |F(q) ∩ F(x)|`` in the paper's notation.  This is the
-        dominating term of the query cost in Lemma 7.
+        ``Σ_x |F(q) ∩ F(x)|`` in the paper's notation, up to the hit in
+        ``"first"`` mode.  This is the dominating term of the query cost in
+        Lemma 7.
     unique_candidates:
-        Number of distinct dataset vectors whose similarity was evaluated.
+        Number of distinct dataset vectors whose similarity the paper's
+        query evaluates (up to and including the hit in ``"first"`` mode).
     similarity_evaluations:
-        Number of exact similarity computations performed (equals
-        ``unique_candidates`` unless early termination skipped some).
+        Number of exact similarity computations the paper's query makes;
+        equal to ``unique_candidates``.
     found:
         Whether a vector satisfying the acceptance predicate was returned.
     repetitions_used:
@@ -342,11 +352,13 @@ class QueryStats(StatsRecord):
 class BatchQueryStats(StatsRecord):
     """Statistics for one ``query_batch`` / ``query_candidates_batch`` call.
 
-    The per-query entries reflect the work the *batched* execution actually
-    performed for each query: results are identical to running the queries
-    one by one, but some counters (e.g. ``similarity_evaluations``) can
-    differ from the serial execution because verification is vectorised over
-    whole candidate lists and filter generation is amortised.
+    The per-query entries of ``query_batch`` equal what ``query`` reports
+    for each query (the paper's as-if work, see :class:`QueryStats`; a
+    duplicate query's entry is its first occurrence's ``cache_hit()``), and
+    results are identical to running the queries one by one.  The
+    batch-level counters below are the work the batched execution did:
+    probes are deduplicated across queries, filter generation is amortised
+    and ``kernel`` counts every row generated and merged.
 
     Attributes
     ----------

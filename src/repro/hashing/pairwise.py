@@ -177,16 +177,22 @@ def hash_keys(keys: np.ndarray, a: int | np.ndarray, b: int | np.ndarray) -> np.
       reduction gives the exact residue.
 
     Each skipped reduction only leaves a summand larger than ``p`` but
-    congruent to the eager one, so the hash function is the same.  A signed
-    key array with a negative key raises ``ValueError``: its uint64 cast
-    would wrap, while :meth:`PairwiseHash.hash_int` reduces the integer.
+    congruent to the eager one, so the hash function is the same.  A key
+    outside ``[0, 2^64)`` raises ``ValueError``, as in
+    :meth:`PairwiseHash.hash_int`: a negative key in a signed array, or any
+    such key in a list or object array (where a key of ``2^64`` or more
+    would otherwise surface as numpy's ``OverflowError``).  A ``uint64``
+    array needs no check.  A list is read as Python ints, exactly: numpy
+    would read ``[7, 2**63]`` as float64 and hash a rounded key.
     """
-    keys = np.asarray(keys)
-    if keys.dtype.kind == "i" and keys.size and int(keys.min()) < 0:
-        raise ValueError(
-            f"hash key {int(keys.min())} is outside [0, 2^64); keys must be "
-            "unsigned 64-bit integers"
-        )
+    keys = keys if isinstance(keys, np.ndarray) else np.array(keys, dtype=object)
+    if keys.dtype.kind in "iO" and keys.size:
+        for key in (keys.min(), keys.max()):
+            if not 0 <= key <= _MASK_64:
+                raise ValueError(
+                    f"hash key {int(key)} is outside [0, 2^64); keys must be "
+                    "unsigned 64-bit integers"
+                )
     keys_u64 = np.ascontiguousarray(keys, dtype=np.uint64)
     x_lo = _mod_mersenne(keys_u64.copy())
     x_hi = x_lo >> np.uint64(32)

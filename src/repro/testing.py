@@ -40,6 +40,7 @@ ROLE_SEEDS: dict[str, int] = {
     "tests:chaos-queries": 7403,
     "bench:latency-queries": 7404,
     "tests:hash-grid": 7500,
+    "tests:lone-batch-pool": 7501,
 }
 
 

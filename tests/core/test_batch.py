@@ -340,12 +340,16 @@ class TestPinnedWork:
     values hold under any seed base.  The digest covers the results and
     every per-query count; a change to how the engine merges or verifies
     candidates must leave all of them, and the chunk's kernel counters,
-    exactly as they are.
+    exactly as they are.  ``"first"`` was re-pinned once, when its
+    per-query counts became the lone query's as-if work (ending at the
+    hit); its results, kernel counters and ``"best"`` did not move, and
+    ``RESULTS`` was recorded before that change.
     """
 
+    RESULTS = "d877f450d2a94af1abb1233776f700cf9fa663edc48cecdce8cb4a8a87954f7b"
     PINNED = {
         "first": (
-            "ecc60296ddc13bbb21b2bd3f1c662caf201492a7c1aa24efea48e611a0a2d63b",
+            "a3f02effedf6d17bf922de0afb2d1182d63aa1e82b740c160a78bd862560d01a",
             {
                 "paths_extended": 4019,
                 "keys_folded": 24069,
@@ -406,6 +410,15 @@ class TestPinnedWork:
         digest, kernel = self.PINNED[mode]
         assert hashlib.sha256(blob).hexdigest() == digest
         assert stats.kernel.to_dict() == kernel
+        answers = json.dumps(results, separators=(",", ":")).encode()
+        assert hashlib.sha256(answers).hexdigest() == self.RESULTS
+        # Each row is the lone query's work (a duplicate's, its cache hit).
+        for position, (query, entry) in enumerate(zip(queries, stats.per_query)):
+            lone = index.query(query, mode=mode)[1]
+            if query in queries[:position]:
+                lone = lone.cache_hit()
+            lone.kernel = entry.kernel
+            assert entry == lone
 
 
 class TestStatsSerialization:

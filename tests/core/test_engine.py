@@ -181,10 +181,8 @@ def _probe_crafted_chunk(engine, filters):
     live = list(range(len(filters)))
     chunk_stats = BatchQueryStats(per_query=[QueryStats() for _ in live])
     probes = _WaveProbes(engine, CraftedWaves(), exhaustive=False)
-    occurrence_ids, query_offsets = probes.chunk(0, live, chunk_stats)
-    streams = [
-        occurrence_ids[query_offsets[k] : query_offsets[k + 1]].tolist() for k in live
-    ]
+    occurrence_ids, occurrence_labels = probes.chunk(0, live, chunk_stats)
+    streams = [occurrence_ids[occurrence_labels == k].tolist() for k in live]
     return streams, chunk_stats
 
 

@@ -120,6 +120,25 @@ def test_query_equals_the_plain_reference_loop(index, queries, mode):
         assert len(used) >= 4 and max(used) == REPETITIONS
 
 
+@pytest.mark.parametrize("mode", ["first", "best"])
+def test_query_batch_equals_the_plain_reference_loop(index, queries, mode):
+    """The same oracle holds for one batch of those queries: a batch reports
+    each query's work exactly as the paper's loop does, early exits
+    included."""
+    engine = index._engine
+    results, stats = index.query_batch(queries[:80], mode=mode)
+    answered = set()
+    for query, result, entry in zip(queries[:80], results, stats.per_query):
+        expected_id, expected = reference_query(engine, query, mode)
+        expected["similarity_evaluations"] = expected["unique_candidates"]
+        assert result == expected_id
+        if query in answered:
+            assert entry.from_cache and entry.found == expected["found"]
+        else:
+            assert work(entry) == expected
+        answered.add(query)
+
+
 def test_query_candidates_equals_the_plain_reference_loop(index, queries):
     engine = index._engine
     for query in queries[:40]:

@@ -63,6 +63,16 @@ class TestVectorisedPairwiseHash:
             with pytest.raises(ValueError, match=str(key)):
                 hash_function.hash_int(key)
 
+    def test_list_and_object_keys_outside_uint64_raise_value_error(self):
+        hash_function = PairwiseHash(3)
+        for keys in ([1 << 64], np.array([7, 1 << 64], dtype=object), [-1, 1 << 63]):
+            with pytest.raises(ValueError, match="is outside"):
+                hash_function.hash_many(keys)
+        assert hash_function.hash_many([7, (1 << 64) - 1]).tolist() == [
+            hash_function.hash_int(7),
+            hash_function.hash_int((1 << 64) - 1),
+        ]
+
 
 class TestLazyReductionBounds:
     """``hash_keys`` equals the exact formula where its skipped reductions are tightest."""
