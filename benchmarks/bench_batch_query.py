@@ -54,7 +54,7 @@ def _run(distribution, num_vectors: int, num_queries: int) -> dict:
     build_stats = index.build(dataset)
     queries = _workload(distribution, dataset, num_queries, rng)
 
-    # Warm both paths (hash levels, CSR store, kernel JIT) before timing.
+    # Warm both paths (hash levels, CSR store) before timing.
     warm_up(lambda: index.query(queries[0]), lambda: index.query_batch(queries[:8]))
 
     loop_start = time.perf_counter()

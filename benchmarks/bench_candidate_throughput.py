@@ -83,7 +83,7 @@ def _run(distribution, num_vectors: int, num_queries: int) -> dict:
     build_stats = index.build(dataset)
     queries = _workload(distribution, dataset, num_queries, rng)
 
-    # Warm both paths (hash levels, probe tables, kernel JIT) before timing.
+    # Warm both paths (hash levels, probe tables) before timing.
     warm_up(
         lambda: _reference_candidates(index, queries[0]),
         lambda: index.query_candidates(queries[0]),

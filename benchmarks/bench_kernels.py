@@ -1,8 +1,7 @@
-"""Per-stage speedup of the compiled hot-path kernels — the kernel gate.
+"""Per-stage speedup of the hot-path kernels — the kernel gate.
 
 The kernel rework (``src/repro/core/kernels/``) replaced two Python-level
-hot loops with array-native stages that dispatch to numba-jitted kernels
-when numba is installed and to a vectorised numpy fallback otherwise:
+hot loops with array-native stages that run vectorised numpy kernels:
 
 * **path extension** — ``PathGenerator.generate_batch`` used to carry its
   frontier as per-vector tuples and materialise children in a Python loop;
@@ -18,11 +17,11 @@ Each stage is timed against a faithful copy of the replaced implementation
 (embedded below, preserved verbatim in structure from the pre-kernel
 revision) on an ``n``-vector workload (``REPRO_BENCH_KERNELS_N``, default
 20 000) whose posting stream carries 2% forced key collisions.  Results
-must be bit-identical and the active backend must win by >= 2x
+must be bit-identical and the kernels must win by >= 2x
 (``MIN_STAGE_SPEEDUP``); ``benchmarks/check_batch_regression.py`` enforces
 the same bound in CI against the exported JSON (``BENCH_kernels.json``).
-JIT warm-up is excluded: both stages run once through ``warm_up`` before
-the timed region (see ``docs/benchmarks.md``).
+One-time costs are excluded: both stages run once through ``warm_up``
+before the timed region (see ``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.testing import rng_for
 
 from conftest import warm_up
 
-#: Minimum active-backend/reference speedup per kernel stage; keep in sync
+#: Minimum kernel/reference speedup per kernel stage; keep in sync
 #: with benchmarks/check_batch_regression.py (the CI gate).
 MIN_STAGE_SPEEDUP = 2.0
 
@@ -374,7 +373,7 @@ def _run_kernels(distribution) -> dict:
         # own per-call sorting and threshold set-up.
         return generator.generate_batch(VectorBatch.bind(chunk_members, policy), counters)
 
-    # Exclude one-time costs (hash levels, numba JIT) from both stages.
+    # Exclude one-time costs (hash levels) from both stages.
     warm_up(
         lambda: generator.generate_batch(VectorBatch.bind(members[:64], policy)),
         lambda: _reference_generate_batch(generator, members[:64], bounds[:64]),
@@ -434,7 +433,7 @@ def _run_kernels(distribution) -> dict:
         store.add(0, [(1, 2), (3, 4)], keys=[5, 5])
         store.compact()
 
-    warm_up(small_forced_compact)  # JIT-compile chain_resolve before timing
+    warm_up(small_forced_compact)  # first chain_resolve call stays untimed
 
     new_store = fill()
 
@@ -511,7 +510,7 @@ def test_kernel_stage_speedups(benchmark, bench_skewed_distribution):
 
     benchmark.extra_info.update(
         {
-            "paper_expectation": "compiled kernels accelerate path extension and "
+            "paper_expectation": "array kernels accelerate path extension and "
             "compaction without changing any generated filter or posting list",
             "num_vectors": result["num_vectors"],
             "num_entries": result["num_entries"],

@@ -29,9 +29,8 @@ def warm_up(*actions: Callable[[], object], repeats: int = 1) -> None:
     """Run each action before the timed region to exclude one-time costs.
 
     The first execution of a query or build surface pays for hash-level
-    instantiation, CSR store materialisation, probe-table construction and —
-    when numba is installed — JIT compilation of the hot-path kernels (see
-    ``docs/kernels.md``).  Benchmarks measure steady state, so every timed
+    instantiation, CSR store materialisation and probe-table construction.
+    Benchmarks measure steady state, so every timed
     code path must be exercised once through this helper first; passing the
     surfaces as thunks keeps the call sites explicit about exactly which
     paths are warmed.

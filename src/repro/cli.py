@@ -117,14 +117,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _print_kernel_stats(kernel: Any) -> None:
     """Render a :class:`~repro.core.stats.KernelStats` as a counter table."""
-    from repro.core.kernels import active_backend
     from repro.evaluation.reporting import format_table
 
     rows = [
         {"counter": name, "count": value} for name, value in kernel.to_dict().items()
     ]
     print()
-    print(format_table(rows, title=f"Kernel counters ({active_backend()} backend)"))
+    print(format_table(rows, title="Kernel counters"))
 
 
 def _cmd_build(args: argparse.Namespace) -> int:

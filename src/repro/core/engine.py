@@ -792,11 +792,6 @@ class FilterEngine:
         self._removed.add(vector_id)
         self._removed_mask = None
 
-    @property
-    def num_removed(self) -> int:
-        """Number of vectors currently tombstoned."""
-        return len(self._removed)
-
     def is_removed(self, vector_id: int) -> bool:
         """Whether the given id has been removed."""
         return vector_id in self._removed

@@ -1,22 +1,12 @@
-"""Compiled hot-path kernels behind a numpy-fallback dispatch layer.
+"""Hot-path kernels behind fixed array-in/array-out signatures.
 
 The three interpreted hot loops — per-level path extension, the
 forced-collision chain fallback in ``InvertedFilterIndex.compact``, and the
-engine's CSR gather → sort/unique segment merges — run through the fixed
-array-in/array-out kernel signatures defined here.  Two backends implement
-them:
-
-* ``python`` — pure numpy (:mod:`repro.core.kernels._numpy_impl`), always
-  available, and the behavioural reference;
-* ``numba`` — ``@njit``-compiled loops (:mod:`repro.core.kernels.
-  _numba_impl`), used automatically when numba is importable.
-
-Selection is controlled by the ``REPRO_KERNELS`` environment variable:
-``auto`` (default — numba when available, else numpy), ``numba`` (require
-numba; raise if absent), or ``python`` (force the numpy fallback).  The two
-backends are bit-identical: same outputs wherever the kernel contract
-defines them, same counter totals (see :mod:`repro.core.kernels._contract`),
-pinned by the cross-backend equivalence suites.
+engine's CSR gather → sort/unique segment merges — run through the kernel
+signatures defined here, implemented in numpy by
+:mod:`repro.core.kernels._numpy_impl`.  Callers reach them through
+:func:`get_impl`, looked up at call time, so a profiler can wrap the bundle
+it returns.
 
 Every kernel accumulates per-stage work counts into a caller-owned
 ``int64[NUM_COUNTERS]`` vector (:func:`new_counters`), surfaced upstream as
@@ -25,7 +15,6 @@ Every kernel accumulates per-stage work counts into a caller-owned
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,13 +42,9 @@ __all__ = [
     "NUM_COUNTERS",
     "PATHS_EXTENDED",
     "active_backend",
-    "available_backends",
     "get_impl",
     "new_counters",
 ]
-
-#: Environment variable selecting the kernel backend (read on every call).
-KERNELS_ENV_VAR = "REPRO_KERNELS"
 
 _ExtendLevel = Callable[
     ...,
@@ -73,10 +58,10 @@ _SortedUnique = Callable[..., np.ndarray]
 
 @dataclass(frozen=True)
 class KernelImplementation:
-    """One backend's bundle of kernel entry points.
+    """The bundle of kernel entry points, with the name benchmarks record.
 
-    All fields share the signatures documented on the numpy reference
-    implementations in :mod:`repro.core.kernels._numpy_impl`.
+    All fields share the signatures documented in
+    :mod:`repro.core.kernels._numpy_impl`.
     """
 
     name: str
@@ -87,7 +72,7 @@ class KernelImplementation:
     sorted_unique: _SortedUnique
 
 
-_PYTHON_IMPL = KernelImplementation(
+_IMPL = KernelImplementation(
     name="python",
     extend_level=_numpy_impl.extend_level,
     chain_resolve=_numpy_impl.chain_resolve,
@@ -96,67 +81,12 @@ _PYTHON_IMPL = KernelImplementation(
     sorted_unique=_numpy_impl.sorted_unique,
 )
 
-_numba_impl_cached: KernelImplementation | None = None
-_numba_probe_done = False
-_numba_error: str | None = None
-
-
-def _load_numba() -> KernelImplementation | None:
-    """Import the numba backend once; remember the failure reason if any."""
-    global _numba_impl_cached, _numba_probe_done, _numba_error
-    if _numba_probe_done:
-        return _numba_impl_cached
-    try:
-        from repro.core.kernels import _numba_impl
-    except ImportError as exc:
-        _numba_error = str(exc)
-    else:
-        _numba_impl_cached = KernelImplementation(
-            name="numba",
-            extend_level=_numba_impl.extend_level,
-            chain_resolve=_numba_impl.chain_resolve,
-            merge_labeled=_numba_impl.merge_labeled,
-            ordered_unique=_numba_impl.ordered_unique,
-            sorted_unique=_numba_impl.sorted_unique,
-        )
-    _numba_probe_done = True
-    return _numba_impl_cached
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names usable in this environment (``python`` always is)."""
-    if _load_numba() is not None:
-        return ("python", "numba")
-    return ("python",)
-
 
 def get_impl() -> KernelImplementation:
-    """Resolve the active backend from ``REPRO_KERNELS``.
-
-    ``auto`` (or unset) prefers numba and silently falls back to numpy;
-    ``numba`` demands the compiled backend and raises ``RuntimeError`` with
-    the import failure when it is unavailable, so a deployment that *expects*
-    compiled kernels cannot silently run interpreted.
-    """
-    requested = os.environ.get(KERNELS_ENV_VAR, "auto").strip().lower() or "auto"
-    if requested == "python":
-        return _PYTHON_IMPL
-    if requested == "numba":
-        impl = _load_numba()
-        if impl is None:
-            raise RuntimeError(
-                "REPRO_KERNELS=numba but the numba backend is unavailable "
-                f"({_numba_error}); install numba or unset REPRO_KERNELS"
-            )
-        return impl
-    if requested != "auto":
-        raise ValueError(
-            f"REPRO_KERNELS must be 'auto', 'numba' or 'python', got {requested!r}"
-        )
-    impl = _load_numba()
-    return impl if impl is not None else _PYTHON_IMPL
+    """The kernel entry points."""
+    return _IMPL
 
 
 def active_backend() -> str:
-    """Name of the backend :func:`get_impl` currently resolves to."""
+    """Name of the kernel bundle :func:`get_impl` returns (``"python"``)."""
     return get_impl().name

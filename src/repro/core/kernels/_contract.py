@@ -1,11 +1,9 @@
 """Shared kernel contract: counter slots and array conventions.
 
-Every kernel backend (numpy fallback, numba) implements the same
-array-in/array-out signatures and accumulates work counts into a caller-owned
-``int64[NUM_COUNTERS]`` vector.  The slot layout below is the contract: a
-counter total reported by one backend must mean exactly the same thing under
-the other, so the equivalence suites can assert bit-identical counters across
-backends.
+Every kernel accumulates work counts into a caller-owned
+``int64[NUM_COUNTERS]`` vector.  The slot layout below is the contract: each
+slot means exactly one thing, so ``KernelStats`` totals can be compared
+across execution schedules and pinned by the equivalence suites.
 
 Counter slots
 -------------

@@ -1,12 +1,10 @@
-"""Pure-numpy kernel backend — the always-available reference.
+"""The kernels, in numpy.
 
-These implementations define the behavioural contract that the numba backend
-must reproduce bit-for-bit: same outputs at every index where the output is
-defined, same counter totals.  They are built from the exact vectorised
-primitives the interpreted hot paths used before the kernel split
-(:func:`repro.hashing.pairwise.extend_keys` / :func:`~repro.hashing.pairwise.
-hash_keys`, ``np.lexsort`` + keep-mask dedupe, ``np.unique``), so results are
-also bit-identical to the pre-kernel code.
+They are built from the exact vectorised primitives the interpreted hot
+paths used before the kernel split (:func:`repro.hashing.pairwise.extend_keys`
+/ :func:`~repro.hashing.pairwise.hash_keys`, ``np.lexsort`` + keep-mask
+dedupe, ``np.unique``), so results are bit-identical to the pre-kernel code.
+Counter slots follow :mod:`repro.core.kernels._contract`.
 """
 
 from __future__ import annotations
@@ -69,9 +67,8 @@ def extend_level(
     ``expansions[v]`` counts the entries of ``v`` processed (up to and
     including the cutoff's entry when truncated).  At indices where
     ``status == 0`` the contents of ``new_keys``/``new_logs`` are
-    unspecified — backends may skip computing them.  This one fills
-    ``new_logs`` only at chosen candidates, and runs the truncation scan
-    only when the cap can bind.
+    unspecified: ``new_logs`` is filled only at chosen candidates, and the
+    truncation scan runs only when the cap can bind.
     """
     num_candidates = int(cand_items.size)
     lengths = entry_offsets[1:] - entry_offsets[:-1]

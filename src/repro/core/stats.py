@@ -107,9 +107,9 @@ class KernelStats(StatsRecord):
     """Per-stage work counts reported by the hot-path kernels.
 
     Each field mirrors one slot of the kernel counter vector (see
-    :mod:`repro.core.kernels._contract`); the totals are bit-identical
-    across the numba and numpy backends, so they double as an equivalence
-    observable in the cross-backend test suites.
+    :mod:`repro.core.kernels._contract`).  They count the work actually
+    done, so unlike ``QueryStats`` they may move with the generation
+    schedule; ``TestPinnedWork`` pins them for one seeded batch.
 
     Attributes
     ----------

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
-
 import numpy as np
 
 
@@ -26,54 +23,3 @@ def geometric_grid(start: float, stop: float, num_points: int) -> list[float]:
     if num_points == 1:
         return [float(start)]
     return [float(value) for value in np.geomspace(start, stop, num_points)]
-
-
-def parameter_product(grid: Mapping[str, Sequence[object]]) -> Iterator[dict[str, object]]:
-    """Cartesian product of named parameter grids, as dictionaries.
-
-    Example
-    -------
-    ``parameter_product({"alpha": [0.5, 0.7], "n": [100, 1000]})`` yields four
-    dictionaries covering every combination, in a deterministic order.
-    """
-    names = list(grid)
-    for values in product(*(grid[name] for name in names)):
-        yield dict(zip(names, values))
-
-
-def probability_sweep(
-    minimum: float, maximum: float, num_points: int, spacing: str = "linear"
-) -> list[float]:
-    """Grid of probabilities in ``(0, 1)``, clipped away from the endpoints."""
-    if spacing not in ("linear", "geometric"):
-        raise ValueError(f"spacing must be 'linear' or 'geometric', got {spacing!r}")
-    low = max(minimum, 1e-9)
-    high = min(maximum, 1.0 - 1e-9)
-    if low > high:
-        raise ValueError(f"empty probability range [{minimum}, {maximum}]")
-    grid = (
-        linear_grid(low, high, num_points)
-        if spacing == "linear"
-        else geometric_grid(low, high, num_points)
-    )
-    return [min(max(value, 1e-9), 1.0 - 1e-9) for value in grid]
-
-
-def dataset_size_sweep(minimum: int, maximum: int, num_points: int) -> list[int]:
-    """Geometric grid of dataset sizes, deduplicated and sorted."""
-    values = geometric_grid(float(minimum), float(maximum), num_points)
-    sizes = sorted({max(1, int(round(value))) for value in values})
-    return sizes
-
-
-def sweep_results_to_rows(
-    parameters: Iterable[Mapping[str, object]],
-    results: Iterable[Mapping[str, object]],
-) -> list[dict[str, object]]:
-    """Merge parameter dictionaries with result dictionaries row by row."""
-    rows = []
-    for parameter_row, result_row in zip(parameters, results):
-        merged: dict[str, object] = dict(parameter_row)
-        merged.update(result_row)
-        rows.append(merged)
-    return rows

@@ -194,10 +194,6 @@ class QueryService:
             _close_router_of(served.index)
 
     @property
-    def index_names(self) -> list[str]:
-        return list(self._indexes)
-
-    @property
     def specs(self) -> list[IndexSpec]:
         """The (current) spec of every served index."""
         return [served.spec for served in self._indexes.values()]

@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.sweeps import (
-    dataset_size_sweep,
-    geometric_grid,
-    linear_grid,
-    parameter_product,
-    probability_sweep,
-    sweep_results_to_rows,
-)
+from repro.evaluation.sweeps import geometric_grid, linear_grid
 
 
 class TestGrids:
@@ -40,51 +33,3 @@ class TestGrids:
 
     def test_geometric_grid_single_point(self):
         assert geometric_grid(2.0, 8.0, 1) == [2.0]
-
-
-class TestParameterProduct:
-    def test_cartesian_product(self):
-        combinations = list(parameter_product({"a": [1, 2], "b": ["x", "y"]}))
-        assert len(combinations) == 4
-        assert {"a": 1, "b": "x"} in combinations
-        assert {"a": 2, "b": "y"} in combinations
-
-    def test_order_deterministic(self):
-        first = list(parameter_product({"a": [1, 2], "b": [3, 4]}))
-        second = list(parameter_product({"a": [1, 2], "b": [3, 4]}))
-        assert first == second
-
-    def test_empty_grid(self):
-        assert list(parameter_product({})) == [{}]
-
-
-class TestProbabilitySweep:
-    def test_within_open_interval(self):
-        for spacing in ("linear", "geometric"):
-            grid = probability_sweep(0.0, 1.0, 10, spacing=spacing)
-            assert all(0.0 < value < 1.0 for value in grid)
-
-    def test_invalid_spacing(self):
-        with pytest.raises(ValueError):
-            probability_sweep(0.1, 0.5, 3, spacing="cubic")
-
-    def test_empty_range(self):
-        with pytest.raises(ValueError):
-            probability_sweep(0.9, 0.1, 3)
-
-
-class TestDatasetSizeSweep:
-    def test_sorted_unique_integers(self):
-        sizes = dataset_size_sweep(10, 10_000, 6)
-        assert sizes == sorted(set(sizes))
-        assert all(isinstance(size, int) for size in sizes)
-        assert sizes[0] >= 10
-        assert sizes[-1] == 10_000
-
-
-class TestSweepResultsToRows:
-    def test_merges_rows(self):
-        parameters = [{"p": 0.1}, {"p": 0.2}]
-        results = [{"rho": 0.5}, {"rho": 0.6}]
-        rows = sweep_results_to_rows(parameters, results)
-        assert rows == [{"p": 0.1, "rho": 0.5}, {"p": 0.2, "rho": 0.6}]

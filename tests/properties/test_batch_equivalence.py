@@ -8,18 +8,12 @@ path must return exactly what the single-query loop returns, at every layer
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dtypes import ITEM_DTYPE, KEY_DTYPE, OFFSET_DTYPE
 from repro.core.engine import FilterEngine
-from repro.core.kernels import (
-    KERNELS_ENV_VAR,
-    PATHS_EXTENDED,
-    available_backends,
-    new_counters,
-)
+from repro.core.kernels import PATHS_EXTENDED, new_counters
 from repro.core.paths import PathGenerator, VectorBatch, default_max_depth
 from repro.core.thresholds import AdversarialThreshold, ConstantThreshold, CorrelatedThreshold
 from repro.hashing.pairwise import PathHasher
@@ -105,58 +99,55 @@ def test_filter_batch_rows_equal_serial_generate(
         for members in vectors
     ]
 
-    for backend in available_backends():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv(KERNELS_ENV_VAR, backend)
-            bound = VectorBatch.bind(vectors, policy)
-            counters = new_counters()
-            batch = generator.generate_batch(bound, counters, repetitions)
-            unfused_counters = new_counters()
-            unfused = [
-                generator.generate_batch(bound, unfused_counters, [repetition])
-                for repetition in repetitions
-            ]
-            one_by_one = new_counters()
-            singles = [
-                generator.generate_batch(
-                    VectorBatch.bind([members], policy), one_by_one, [repetition]
-                )
-                for repetition in repetitions
-                for members in vectors
-            ]
+    bound = VectorBatch.bind(vectors, policy)
+    counters = new_counters()
+    batch = generator.generate_batch(bound, counters, repetitions)
+    unfused_counters = new_counters()
+    unfused = [
+        generator.generate_batch(bound, unfused_counters, [repetition])
+        for repetition in repetitions
+    ]
+    one_by_one = new_counters()
+    singles = [
+        generator.generate_batch(
+            VectorBatch.bind([members], policy), one_by_one, [repetition]
+        )
+        for repetition in repetitions
+        for members in vectors
+    ]
 
-        assert list(batch) == serial
-        assert [single[0] for single in singles] == serial
-        # The arrays themselves, not only the tuple view of them.
-        assert (batch.path_items.dtype, batch.keys.dtype) == (ITEM_DTYPE, KEY_DTYPE)
-        assert batch.path_offsets.dtype == batch.vector_offsets.dtype == OFFSET_DTYPE
-        assert batch.vector_offsets.tolist() == np.cumsum(
-            [0] + [len(result.paths) for result in serial]
-        ).tolist()
-        assert batch.path_items.tolist() == [
-            item for result in serial for path in result.paths for item in path
-        ]
-        assert batch.keys.tolist() == [key for result in serial for key in result.keys]
-        assert batch.truncated.tolist() == [result.truncated for result in serial]
-        assert batch.expansions.tolist() == [result.expansions for result in serial]
-        # A repetition's view of the fused pass is that repetition's own
-        # pass, and a row subset of it is the pass over those vectors.
-        assert batch.repetitions == len(repetitions)
-        for position, alone in enumerate(unfused):
-            assert_same_arrays(batch.repetition(position), alone)
-        rows = np.arange(len(vectors) - 1, -1, -2)
-        kept = unfused[-1].take(rows)
-        assert list(kept) == [unfused[-1][row] for row in rows.tolist()]
-        assert kept.path_offsets.tolist() == np.cumsum(
-            [0] + [len(path) for result in kept for path in result.paths]
-        ).tolist()
-        # Counter totals: every batch shape agrees always; the serial loop
-        # stops hashing a truncated vector's level at the cutoff entry, so
-        # it folds fewer keys there but extends exactly the same paths.
-        assert counters.tolist() == unfused_counters.tolist() == one_by_one.tolist()
-        assert counters[PATHS_EXTENDED] == serial_counters[PATHS_EXTENDED]
-        if not batch.truncated.any():
-            assert counters.tolist() == serial_counters.tolist()
+    assert list(batch) == serial
+    assert [single[0] for single in singles] == serial
+    # The arrays themselves, not only the tuple view of them.
+    assert (batch.path_items.dtype, batch.keys.dtype) == (ITEM_DTYPE, KEY_DTYPE)
+    assert batch.path_offsets.dtype == batch.vector_offsets.dtype == OFFSET_DTYPE
+    assert batch.vector_offsets.tolist() == np.cumsum(
+        [0] + [len(result.paths) for result in serial]
+    ).tolist()
+    assert batch.path_items.tolist() == [
+        item for result in serial for path in result.paths for item in path
+    ]
+    assert batch.keys.tolist() == [key for result in serial for key in result.keys]
+    assert batch.truncated.tolist() == [result.truncated for result in serial]
+    assert batch.expansions.tolist() == [result.expansions for result in serial]
+    # A repetition's view of the fused pass is that repetition's own
+    # pass, and a row subset of it is the pass over those vectors.
+    assert batch.repetitions == len(repetitions)
+    for position, alone in enumerate(unfused):
+        assert_same_arrays(batch.repetition(position), alone)
+    rows = np.arange(len(vectors) - 1, -1, -2)
+    kept = unfused[-1].take(rows)
+    assert list(kept) == [unfused[-1][row] for row in rows.tolist()]
+    assert kept.path_offsets.tolist() == np.cumsum(
+        [0] + [len(path) for result in kept for path in result.paths]
+    ).tolist()
+    # Counter totals: every batch shape agrees always; the serial loop
+    # stops hashing a truncated vector's level at the cutoff entry, so
+    # it folds fewer keys there but extends exactly the same paths.
+    assert counters.tolist() == unfused_counters.tolist() == one_by_one.tolist()
+    assert counters[PATHS_EXTENDED] == serial_counters[PATHS_EXTENDED]
+    if not batch.truncated.any():
+        assert counters.tolist() == serial_counters.tolist()
 
 
 def test_fused_pass_over_multi_word_masks_equals_serial_generate():

@@ -1,18 +1,12 @@
-"""Cross-backend kernel equivalence: ``REPRO_KERNELS=numba|python``.
+"""The kernel contract, checked against independent expectations.
 
-The hot-path kernels (``repro.core.kernels``) promise bit-identical results
-across their backends: whatever ``get_impl()`` resolves to, every query
-surface must return the same ids and work counters, and every build must
-produce the same compacted slot layout.  This suite sweeps the backend
-environment switch over build/compact plus the five public query surfaces
-(single query, single candidates, batched queries, batched candidates,
-similarity join), comparing each backend's results and kernel counter
-totals against the pure-python reference.
-
-The numba leg skips itself when numba is not installed (CI runs a
-dedicated no-numba matrix leg on exactly that configuration); the dispatch
-error contract — ``REPRO_KERNELS=numba`` without numba raises, unknown
-values raise — is covered unconditionally.
+The hot-path kernels (``repro.core.kernels``) take and return flat arrays
+and count their work into a shared counter vector.  This suite pins what
+they promise: a pass fused over several repetitions equals its repetitions
+run one at a time, the ``max_paths`` cap cuts exactly where the serial rule
+does, the merge kernels equal their plain-Python definitions, and the
+counter slots keep their names.  It also checks that two builds of one seed
+agree on the build counters and on all five public query surfaces.
 """
 
 from __future__ import annotations
@@ -22,13 +16,7 @@ import pytest
 
 from repro.core.config import SkewAdaptiveIndexConfig
 from repro.core.join import similarity_join
-from repro.core.kernels import (
-    COUNTER_NAMES,
-    KERNELS_ENV_VAR,
-    available_backends,
-    get_impl,
-    new_counters,
-)
+from repro.core.kernels import COUNTER_NAMES, get_impl, new_counters
 from repro.core.kernels._contract import (
     CHAIN_PROBES,
     DEDUPE_HITS,
@@ -37,21 +25,9 @@ from repro.core.kernels._contract import (
     PATHS_EXTENDED,
 )
 from repro.core.skewed_index import SkewAdaptiveIndex
-from repro.hashing.pairwise import PathHasher, extend_key, hash_keys
+from repro.hashing.pairwise import PathHasher, extend_key
 from repro.similarity.predicates import SimilarityPredicate
 from repro.testing import rng_for
-
-BACKENDS = ("python", "numba")
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    """Each available kernel backend, with ``REPRO_KERNELS`` pinned to it."""
-    name = request.param
-    if name not in available_backends():
-        pytest.skip(f"kernel backend {name!r} is not installed")
-    monkeypatch.setenv(KERNELS_ENV_VAR, name)
-    return name
 
 
 def _workload(distribution, dataset, rng):
@@ -94,58 +70,39 @@ def _all_surfaces(index, queries, probes, predicate):
 
 
 @pytest.fixture(scope="module")
-def python_reference(skewed_distribution, skewed_dataset):
-    """Build + query results computed on the forced pure-python backend."""
+def first_build(skewed_distribution, skewed_dataset):
+    """Build + query results of one seeded build, kept for comparison."""
     rng = rng_for("tests:skewed-dataset")
     queries = _workload(skewed_distribution, skewed_dataset, rng)
     probes = skewed_dataset[:10] + [frozenset()]
     predicate = SimilarityPredicate("braun_blanquet", 0.4)
-    monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setenv(KERNELS_ENV_VAR, "python")
-    try:
-        index, build_stats = _build_index(skewed_distribution, skewed_dataset)
-        surfaces = _all_surfaces(index, queries, probes, predicate)
-    finally:
-        monkeypatch.undo()
+    index, build_stats = _build_index(skewed_distribution, skewed_dataset)
     return {
         "queries": queries,
         "probes": probes,
         "predicate": predicate,
         "build_kernel": build_stats.kernel.to_dict(),
-        "surfaces": surfaces,
+        "surfaces": _all_surfaces(index, queries, probes, predicate),
     }
 
 
-def test_backend_equals_python_reference(
-    backend, python_reference, skewed_distribution, skewed_dataset
-):
-    """Build + all five query surfaces are bit-identical across backends."""
+def test_two_builds_of_one_seed_agree(first_build, skewed_distribution, skewed_dataset):
+    """Build counters and all five query surfaces repeat on a second build."""
     index, build_stats = _build_index(skewed_distribution, skewed_dataset)
-    assert build_stats.kernel.to_dict() == python_reference["build_kernel"]
+    assert build_stats.kernel.to_dict() == first_build["build_kernel"]
     surfaces = _all_surfaces(
-        index,
-        python_reference["queries"],
-        python_reference["probes"],
-        python_reference["predicate"],
+        index, first_build["queries"], first_build["probes"], first_build["predicate"]
     )
-    assert surfaces == python_reference["surfaces"]
-
-
-def _python_impl():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(KERNELS_ENV_VAR, "python")
-        return get_impl()
+    assert surfaces == first_build["surfaces"]
 
 
 @pytest.mark.parametrize("max_paths", [-1, 6])
-def test_extend_level_with_repetition_tables(backend, max_paths):
+def test_extend_level_with_repetition_tables(max_paths):
     """``extend_level`` over a multi-repetition coefficient table.
 
     A fused pass gives every frontier entry its repetition's row of the
-    level's ``(a, b)`` table.  The active backend must match the numpy
-    reference on the whole pass, and the pass must equal its repetitions run
-    one at a time with one-row tables — which pins the per-entry lookup
-    itself, not just that both backends share it.
+    level's ``(a, b)`` table.  The pass must equal its repetitions run one at
+    a time with one-row tables, which pins the per-entry lookup itself.
     """
     rng = rng_for("tests:skewed-dataset")
     repetitions, vectors_per_repetition = 3, 5
@@ -171,10 +128,10 @@ def test_extend_level_with_repetition_tables(backend, max_paths):
     )
     vec_finished = rng.integers(0, 3, size=num_rows).astype(np.int64)
 
-    def run(impl, candidates, entries, table):
+    def run(candidates, entries, table):
         counters = new_counters()
         lengths = np.diff(entry_offsets)[entries]
-        outputs = impl.extend_level(
+        outputs = get_impl().extend_level(
             *(column[candidates] for column in inputs),
             np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
             entry_vector[entries],
@@ -200,15 +157,12 @@ def test_extend_level_with_repetition_tables(backend, max_paths):
         )
 
     everything = np.arange(num_candidates), np.arange(entry_vector.size)
-    all_rows = np.arange(repetitions)
-    fused = run(get_impl(), *everything, all_rows)
-    assert fused == run(_python_impl(), *everything, all_rows)
+    fused = run(*everything, np.arange(repetitions))
     assert (max_paths >= 0) == any(fused[4])
 
     cand_entry = np.repeat(np.arange(entry_vector.size), entry_sizes)
     alone = [
         run(
-            get_impl(),
             np.flatnonzero(entry_repetition[cand_entry] == repetition),
             np.flatnonzero(entry_repetition == repetition),
             np.array([repetition]),
@@ -223,7 +177,7 @@ def test_extend_level_with_repetition_tables(backend, max_paths):
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_extend_level_truncation_boundary(backend, offset):
+def test_extend_level_truncation_boundary(offset):
     """The ``max_paths`` cap on both sides of the highest run a level can reach.
 
     Every candidate is chosen (probability 1.0) and belongs to vector 1,
@@ -242,9 +196,9 @@ def test_extend_level_truncation_boundary(backend, offset):
     a, b = (np.array([value], dtype=np.uint64) for value in PathHasher(5).level_coefficients(1))
     boundary = items.size + int(vec_finished.max())
 
-    def run(impl):
+    def run():
         counters = new_counters()
-        new_keys, status, new_logs, expansions, truncated = impl.extend_level(
+        new_keys, status, new_logs, expansions, truncated = get_impl().extend_level(
             prefix_keys, items, np.ones(7), parent_logs, item_logs, entry_offsets,
             entry_vector, np.zeros(3, dtype=np.int64), 3, vec_finished, -1.0, True,
             boundary + offset, a, b, counters,
@@ -259,9 +213,7 @@ def test_extend_level_truncation_boundary(backend, offset):
             counters.tolist(),
         )
 
-    outputs = run(get_impl())
-    assert outputs == run(_python_impl())
-    status, keys, logs, expansions, truncated, counters = outputs
+    status, keys, logs, expansions, truncated, counters = run()
     kept = 6 if offset < 0 else 7
     assert status == [1, 2, 1, 2, 1, 1, 2][:kept] + [0] * (7 - kept)
     assert keys == [extend_key(int(k), int(i)) for k, i in zip(prefix_keys, items)][:kept]
@@ -273,49 +225,30 @@ def test_extend_level_truncation_boundary(backend, offset):
     assert counters[CHAIN_PROBES] == counters[MERGE_ROWS] == counters[DEDUPE_HITS] == 0
 
 
-def test_numba_hash_equals_lazy_hash_keys(hash_grid):
-    """The compiled scalar hash, reduced eagerly, equals the lazily reduced ``hash_keys``."""
-    if "numba" not in available_backends():
-        pytest.skip("kernel backend 'numba' is not installed")
-    from repro.core.kernels import _numba_impl
-
-    keys, pairs = hash_grid
-    low32 = np.uint64((1 << 32) - 1)
-    for a, b in pairs:
-        a_u64, b_u64 = np.uint64(a), np.uint64(b)
-        compiled = [
-            _numba_impl._hash_key(key, a_u64 >> np.uint64(32), a_u64 & low32, b_u64)
-            for key in keys
-        ]
-        assert compiled == hash_keys(keys, a, b).tolist(), (a, b)
-
-
-def test_kernel_level_equivalence(backend):
-    """Exercise each kernel callable directly and compare with pure numpy."""
+def test_merge_kernels_match_their_definitions():
+    """Each merge kernel equals its plain-Python definition and counts its rows."""
     rng = rng_for("tests:skewed-dataset")
-    active = get_impl()
-    reference = _python_impl()
+    impl = get_impl()
 
     ids = rng.integers(0, 50, size=200).astype(np.int64)
     labels = rng.integers(0, 8, size=200).astype(np.int64)
-    counters_a, counters_b = new_counters(), new_counters()
-    merged_a = active.merge_labeled(labels, ids, counters_a)
-    merged_b = reference.merge_labeled(labels, ids, counters_b)
-    assert [arr.tolist() for arr in merged_a] == [arr.tolist() for arr in merged_b]
-    assert counters_a.tolist() == counters_b.tolist()
-    assert counters_a[MERGE_ROWS] == ids.size
-    assert counters_a[DEDUPE_HITS] == ids.size - merged_a[0].size
+    counters = new_counters()
+    merged_labels, merged_ids = impl.merge_labeled(labels, ids, counters)
+    pairs = sorted(set(zip(labels.tolist(), ids.tolist())))
+    assert list(zip(merged_labels.tolist(), merged_ids.tolist())) == pairs
+    assert counters[MERGE_ROWS] == ids.size
+    assert counters[DEDUPE_HITS] == ids.size - merged_ids.size
 
     values = rng.integers(0, 30, size=64).astype(np.int64)
-    counters_a, counters_b = new_counters(), new_counters()
-    assert (
-        active.sorted_unique(values, counters_a).tolist()
-        == reference.sorted_unique(values, counters_b).tolist()
-    )
-    ordered_a = active.ordered_unique(values, counters_a)
-    ordered_b = reference.ordered_unique(values, counters_b)
-    assert [arr.tolist() for arr in ordered_a] == [arr.tolist() for arr in ordered_b]
-    assert counters_a.tolist() == counters_b.tolist()
+    counters = new_counters()
+    assert impl.sorted_unique(values, counters).tolist() == sorted(set(values.tolist()))
+    ordered, first = impl.ordered_unique(values, counters)
+    expected = list(dict.fromkeys(values.tolist()))
+    assert ordered.tolist() == expected
+    assert first.tolist() == [values.tolist().index(value) for value in expected]
+    assert counters[MERGE_ROWS] == 2 * values.size
+    assert counters[DEDUPE_HITS] == 2 * (values.size - len(expected))
+    assert counters[PATHS_EXTENDED] == counters[KEYS_FOLDED] == counters[CHAIN_PROBES] == 0
 
 
 def test_counter_names_cover_contract():
@@ -325,17 +258,3 @@ def test_counter_names_cover_contract():
     assert COUNTER_NAMES[CHAIN_PROBES] == "chain_probes"
     assert COUNTER_NAMES[MERGE_ROWS] == "merge_rows"
     assert COUNTER_NAMES[DEDUPE_HITS] == "dedupe_hits"
-
-
-def test_requesting_missing_numba_raises(monkeypatch):
-    if "numba" in available_backends():
-        pytest.skip("numba is installed; the missing-backend error cannot fire")
-    monkeypatch.setenv(KERNELS_ENV_VAR, "numba")
-    with pytest.raises(RuntimeError, match="numba"):
-        get_impl()
-
-
-def test_unknown_backend_value_raises(monkeypatch):
-    monkeypatch.setenv(KERNELS_ENV_VAR, "fortran")
-    with pytest.raises(ValueError, match="REPRO_KERNELS"):
-        get_impl()

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.kernels import KernelImplementation
+from repro.core import kernels
+from repro.core.kernels import KernelImplementation, _numpy_impl
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "spans.py"
 
@@ -53,3 +54,21 @@ def test_every_kernel_consumer_imports_get_impl_by_name():
         assert callable(vars(module).get("get_impl")), f"{module_name} lost its get_impl"
     fields = {field.name for field in dataclasses.fields(KernelImplementation)}
     assert set(spans._KERNEL_ENTRY_POINTS) <= fields
+
+
+def test_benchmark_view_of_the_kernels(monkeypatch):
+    """The fingerprint's ``kernels`` name, and the bundle ``spans.py`` wraps.
+
+    ``compare.py`` refuses to compare runs whose ``kernels`` differ, and the
+    traced pass replaces ``get_impl`` and the bundle's entry points, so the
+    name, the lookup and the entry points all stay put.
+    """
+    assert kernels.active_backend() == "python"
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    unset = kernels.get_impl()
+    monkeypatch.setenv("REPRO_KERNELS", "numba")
+    assert kernels.get_impl() is unset
+    entry_points = [field.name for field in dataclasses.fields(unset) if field.name != "name"]
+    assert len(entry_points) == 5
+    for entry in entry_points:
+        assert getattr(unset, entry) is getattr(_numpy_impl, entry)
