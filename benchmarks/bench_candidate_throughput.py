@@ -20,6 +20,8 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from repro.core.config import SkewAdaptiveIndexConfig
 from repro.core.skewed_index import SkewAdaptiveIndex
 from repro.evaluation.reporting import format_table
@@ -63,11 +65,15 @@ def _reference_candidates(index, query) -> set[int]:
         generation = engine._generator.generate(  # noqa: SLF001
             members, bound, repetition=repetition
         )
-        for candidate_id in engine._indexes[repetition].candidates(  # noqa: SLF001
-            generation.paths, generation.keys
-        ):
-            if candidate_id not in engine._removed:  # noqa: SLF001
-                candidates.add(candidate_id)
+        store = engine._indexes[repetition]  # noqa: SLF001
+        for path, key in zip(generation.paths, generation.keys):
+            items = np.asarray(path, dtype=np.int64)
+            postings, _offsets, _route = store.probe_batch_routed(
+                items, np.asarray([0, items.size]), np.asarray([key], dtype=np.uint64)
+            )
+            for candidate_id in postings.tolist():
+                if candidate_id not in engine._removed:  # noqa: SLF001
+                    candidates.add(candidate_id)
     return candidates
 
 

@@ -23,7 +23,6 @@ SetLike = Iterable[int]
 def run_loop_batch(
     query_function: Callable[[frozenset[int]], tuple[object, QueryStats]],
     queries: Sequence[SetLike],
-    deduplicate: bool = True,
 ) -> tuple[list, BatchQueryStats]:
     """Execute a batch through a per-query callable, deduplicating inputs.
 
@@ -33,9 +32,8 @@ def run_loop_batch(
         Called once per *distinct* query set; must return
         ``(result, QueryStats)``.
     queries:
-        The query sets, in answer order.
-    deduplicate:
-        Answer exact duplicate queries once and copy the result.
+        The query sets, in answer order; an exact duplicate is answered once
+        and the result copied.
 
     Returns
     -------
@@ -50,15 +48,14 @@ def run_loop_batch(
     cache: dict[frozenset[int], tuple[object, QueryStats]] = {}
     results: list[Any] = []
     for query_set in query_sets:
-        if deduplicate and query_set in cache:
+        if query_set in cache:
             value, cached_stats = cache[query_set]
             stats.queries_deduplicated += 1
             results.append(set(value) if isinstance(value, set) else value)
             stats.per_query.append(cached_stats.cache_hit())
             continue
         value, query_stats = query_function(query_set)
-        if deduplicate:
-            cache[query_set] = (value, query_stats)
+        cache[query_set] = (value, query_stats)
         results.append(set(value) if isinstance(value, set) else value)
         stats.per_query.append(replace(query_stats))
     stats.elapsed_seconds = time.perf_counter() - start

@@ -31,8 +31,6 @@ class BatchQueryConfig:
         Number of queries per vectorised execution chunk.  Filter hashing,
         probe deduplication and candidate verification are amortised within
         a chunk.
-    deduplicate_queries:
-        Answer exact duplicate queries in a batch once and copy the result.
     allow_partial:
         Router-backed execution only: serve degraded answers from the
         live shards when a worker's circuit breaker is open, instead of
@@ -43,7 +41,6 @@ class BatchQueryConfig:
     """
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    deduplicate_queries: bool = True
     allow_partial: bool = False
 
     def __post_init__(self) -> None:
@@ -52,12 +49,9 @@ class BatchQueryConfig:
 
     def as_kwargs(self) -> dict[str, object]:
         """Keyword arguments accepted by every index's ``query_batch`` methods."""
-        kwargs: dict[str, object] = {
-            "batch_size": self.batch_size,
-            "deduplicate": self.deduplicate_queries,
-        }
+        kwargs: dict[str, object] = {"batch_size": self.batch_size}
         # Only forwarded when set: non-engine implementations (baselines)
-        # accept the two standard knobs but not the degraded-mode flag.
+        # accept the standard knob but not the degraded-mode flag.
         if self.allow_partial:
             kwargs["allow_partial"] = True
         return kwargs
@@ -84,20 +78,11 @@ class PersistenceConfig:
         Write the v2 array container deflate-compressed (default).  v3 is
         deliberately uncompressed — raw little-endian arrays at page-aligned
         offsets are what ``np.memmap`` can serve zero-copy.
-    validate_postings:
-        Verify on (RAM) load that every repetition's postings reference only
-        stored vectors and in-universe items (vectorised cross-checks over
-        the whole store).  Catches corrupted or hand-edited files before
-        they can produce wrong query results; the cost is a few array
-        passes, so leaving it on is recommended.  mmap-mode loads validate
-        manifest consistency and file sizes instead — paging every shard in
-        just to cross-check it would defeat lazy loading.
     """
 
     format_version: int = 3
     shards: int = 8
     compress: bool = True
-    validate_postings: bool = True
 
     def __post_init__(self) -> None:
         if self.format_version not in (2, 3):

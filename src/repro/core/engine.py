@@ -880,7 +880,6 @@ class FilterEngine:
         queries: Sequence[SetLike],
         mode: str = "first",
         batch_size: int | None = None,
-        deduplicate: bool = True,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[int | None], BatchQueryStats]:
@@ -907,8 +906,6 @@ class FilterEngine:
             Queries per vectorised execution chunk
             (default :data:`~repro.core.config.DEFAULT_BATCH_SIZE`); chunks
             run one after another on the calling thread.
-        deduplicate:
-            Answer exact duplicate queries once (default True).
         allow_partial:
             Router-backed mode only: serve from the live shard workers when
             a worker's circuit breaker is open instead of failing the whole
@@ -928,7 +925,6 @@ class FilterEngine:
             queries,
             lambda chunk: self._query_batch_chunk(chunk, mode, allow_partial, deadline),
             batch_size,
-            deduplicate,
             deadline,
         )
 
@@ -936,7 +932,6 @@ class FilterEngine:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        deduplicate: bool = True,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[set[int]], BatchQueryStats]:
@@ -949,7 +944,7 @@ class FilterEngine:
         :meth:`query_batch`'s.
         """
         arrays, stats = self.query_candidates_arrays_batch(
-            queries, batch_size, deduplicate, allow_partial, deadline
+            queries, batch_size, allow_partial, deadline
         )
         return [set(candidates.tolist()) for candidates in arrays], stats
 
@@ -957,7 +952,6 @@ class FilterEngine:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        deduplicate: bool = True,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[np.ndarray], BatchQueryStats]:
@@ -974,7 +968,6 @@ class FilterEngine:
             queries,
             lambda chunk: self._candidate_arrays_chunk(chunk, allow_partial, deadline),
             batch_size,
-            deduplicate,
             deadline,
         )
 
@@ -983,7 +976,6 @@ class FilterEngine:
         queries: Sequence[SetLike],
         chunk_runner: Callable[[list[frozenset[int]]], tuple[list[Any], BatchQueryStats]],
         batch_size: int | None,
-        deduplicate: bool,
         deadline: float | None,
     ) -> tuple[list[Any], BatchQueryStats]:
         """Shared orchestration: dedupe, run the chunks in turn, merge."""
@@ -994,15 +986,11 @@ class FilterEngine:
         if chunk_size <= 0:
             raise ValueError(f"batch_size must be positive, got {chunk_size}")
 
-        if deduplicate:
-            # Each distinct set's position among the distinct sets, in
-            # first-appearance order (dicts keep insertion order).
-            position_of: dict[frozenset[int], int] = {}
-            source = [position_of.setdefault(query, len(position_of)) for query in query_sets]
-            unique_sets = list(position_of)
-        else:
-            unique_sets = query_sets
-            source = list(range(len(query_sets)))
+        # Each distinct set's position among the distinct sets, in
+        # first-appearance order (dicts keep insertion order).
+        position_of: dict[frozenset[int], int] = {}
+        source = [position_of.setdefault(query, len(position_of)) for query in query_sets]
+        unique_sets = list(position_of)
 
         outputs: list[tuple[list[Any], BatchQueryStats]] = []
         for first in range(0, len(unique_sets), chunk_size):

@@ -91,7 +91,6 @@ class EngineBackedIndex:
         queries: Sequence[SetLike],
         mode: str = "first",
         batch_size: int | None = None,
-        deduplicate: bool = True,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[int | None], BatchQueryStats]:
@@ -105,7 +104,6 @@ class EngineBackedIndex:
             queries,
             mode=mode,
             batch_size=batch_size,
-            deduplicate=deduplicate,
             allow_partial=allow_partial,
             deadline=deadline,
         )
@@ -118,7 +116,6 @@ class EngineBackedIndex:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        deduplicate: bool = True,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[set[int]], BatchQueryStats]:
@@ -126,7 +123,6 @@ class EngineBackedIndex:
         return self._require_built().query_candidates_batch(
             queries,
             batch_size=batch_size,
-            deduplicate=deduplicate,
             allow_partial=allow_partial,
             deadline=deadline,
         )
@@ -135,7 +131,6 @@ class EngineBackedIndex:
         self,
         queries: Sequence[SetLike],
         batch_size: int | None = None,
-        deduplicate: bool = True,
         allow_partial: bool = False,
         deadline: float | None = None,
     ) -> tuple[list[np.ndarray], BatchQueryStats]:
@@ -147,7 +142,6 @@ class EngineBackedIndex:
         return self._require_built().query_candidates_arrays_batch(
             queries,
             batch_size=batch_size,
-            deduplicate=deduplicate,
             allow_partial=allow_partial,
             deadline=deadline,
         )

@@ -30,20 +30,21 @@ produces that order, and :meth:`InvertedFilterIndex.from_state` permutes
 slots loaded in any other order (v1/v2 files) into it once.  The key array
 therefore *is* the probe table, for this store and for every format v3
 shard slice alike, so one resolver answers them all: :func:`probe_table`
-(batched probes plus the posting gather) and :func:`find_slot` (one path)
-binary-search a :class:`ShardSlice`; :func:`probe_by_label` resolves probes
-group by group against several tables and :func:`scatter_parts` merges the
-groups back into probe order.  The memory-mapped store and the shard worker
-use the same four functions.  Because a 64-bit key could in principle
-collide, stored paths are compared exactly (vectorised during compaction
-and probing) before a slot is accepted, so lookups remain collision-free
-like the original dict-of-tuples; genuinely colliding keys are detected
-during compaction and handled by an exact chained fallback.
+binary-searches a :class:`ShardSlice` and gathers the probes' postings;
+:func:`probe_by_label` resolves probes group by group against several
+tables and :func:`scatter_parts` merges the groups back into probe order.
+The memory-mapped store and the shard worker use the same three functions,
+and every store answers one read call, ``probe_batch_routed``.  Because a
+64-bit key could in principle collide, stored paths are compared exactly
+(vectorised during compaction and probing) before a slot is accepted, so
+lookups remain collision-free like the original dict-of-tuples; genuinely
+colliding keys are detected during compaction and handled by an exact
+chained fallback.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -239,23 +240,6 @@ def probe_table(
     return lengths, ids.astype(ID_DTYPE, copy=False)
 
 
-def find_slot(table: ShardSlice, key: int, items: Sequence[int] | np.ndarray) -> int | None:
-    """The slot storing exactly the path ``items`` (folded key ``key``), or None.
-
-    Unlike a probe, this tells a stored path with an empty posting list
-    apart from a missing one.
-    """
-    items = np.ascontiguousarray(items, dtype=ITEM_DTYPE)
-    slots, stored = _resolve_slots(
-        table,
-        np.asarray([key], dtype=KEY_DTYPE),
-        items,
-        np.zeros(1, dtype=OFFSET_DTYPE),
-        np.asarray([items.size], dtype=OFFSET_DTYPE),
-    )
-    return int(slots[0]) if stored[0] else None
-
-
 def probe_by_label(
     labels: np.ndarray,
     table_of: Callable[[int], ShardSlice],
@@ -419,25 +403,6 @@ class InvertedFilterIndex:
             np.asarray(keys, dtype=KEY_DTYPE),
             path_items,
             path_offsets,
-        )
-
-    def add_many(self, filters_per_vector: Sequence[Iterable[Path]]) -> int:
-        """Register filters of many vectors, ids being their positions."""
-        total = 0
-        for vector_id, paths in enumerate(filters_per_vector):
-            total += self.add(vector_id, paths)
-        return total
-
-    def add_postings(self, path: Path, vector_ids: Sequence[int]) -> None:
-        """Restore a full posting list for one filter (used when loading a
-        serialised index); appends to any existing postings for that filter."""
-        path = tuple(path)
-        count = len(vector_ids)
-        self.add_csr(
-            np.asarray(vector_ids, dtype=ID_DTYPE),
-            np.full(count, fold_path(path), dtype=KEY_DTYPE),
-            np.tile(np.asarray(path, dtype=ITEM_DTYPE), count),
-            np.arange(count + 1, dtype=OFFSET_DTYPE) * len(path),
         )
 
     # ------------------------------------------------------------------ #
@@ -763,13 +728,8 @@ class InvertedFilterIndex:
         return index
 
     # ------------------------------------------------------------------ #
-    # Lookup
+    # Probing
     # ------------------------------------------------------------------ #
-
-    def _path_at(self, slot: int) -> Path:
-        start = int(self._path_offsets[slot])
-        end = int(self._path_offsets[slot + 1])
-        return tuple(self._path_items[start:end].tolist())
 
     def _table(self) -> ShardSlice:
         """The compacted store as one resolver table.  Compacts."""
@@ -782,34 +742,6 @@ class InvertedFilterIndex:
             self._posting_offsets,
             self._has_duplicate_keys,
         )
-
-    def lookup(self, path: Path) -> list[int]:
-        """Vector ids that chose ``path`` (empty list if none)."""
-        path = tuple(path)
-        return self.lookup_keyed(path, fold_path(path))
-
-    def lookup_keyed(self, path: Path, key: int) -> list[int]:
-        """:meth:`lookup` with the path's folded key already in hand.
-
-        The generators return the keys alongside the paths, so query probes
-        use this to skip re-folding.
-        """
-        slot = find_slot(self._table(), key, path)
-        if slot is None:
-            return []
-        start = int(self._posting_offsets[slot])
-        end = int(self._posting_offsets[slot + 1])
-        return self._posting_ids[start:end].tolist()
-
-    def probe_batch(
-        self,
-        paths: Sequence[Path],
-        keys: Sequence[int] | np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_batch_routed` for tuple paths, without the routes."""
-        probe_items, probe_offsets = paths_to_csr(paths)
-        ids, offsets, _route = self.probe_batch_routed(probe_items, probe_offsets, keys)
-        return ids, offsets
 
     def probe_batch_routed(
         self,
@@ -855,27 +787,6 @@ class InvertedFilterIndex:
         lengths.cumsum(out=offsets[1:])
         return ids, offsets, np.zeros(lengths.size, dtype=np.int64)
 
-    def candidates(
-        self, paths: Iterable[Path], keys: Sequence[int] | None = None
-    ) -> Iterator[int]:
-        """Yield every (vector id) collision for the given query filters.
-
-        A vector id is yielded once per shared filter, matching the paper's
-        work measure ``Σ_x |F(q) ∩ F(x)|``; callers that want distinct
-        candidates deduplicate downstream.  ``keys``, when given, must hold
-        the folded key of each path.
-        """
-        if keys is None:
-            for path in paths:
-                yield from self.lookup(path)
-        else:
-            for path, key in zip(paths, keys):
-                yield from self.lookup_keyed(tuple(path), key)
-
-    def __contains__(self, path: Path) -> bool:
-        path = tuple(path)
-        return find_slot(self._table(), fold_path(path), path) is not None
-
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
@@ -890,17 +801,6 @@ class InvertedFilterIndex:
     def total_entries(self) -> int:
         """Total number of (filter, vector) postings — the space usage."""
         return self._total_entries
-
-    def posting_sizes(self) -> list[int]:
-        """Sizes of all posting lists (useful for skew diagnostics)."""
-        self.compact()
-        return np.diff(self._posting_offsets).tolist()
-
-    def heaviest_filters(self, count: int = 10) -> list[tuple[Path, int]]:
-        """The ``count`` filters with the largest posting lists."""
-        sizes = self.posting_sizes()
-        ranked = sorted(range(len(sizes)), key=lambda slot: sizes[slot], reverse=True)
-        return [(self._path_at(slot), sizes[slot]) for slot in ranked[:count]]
 
     def __len__(self) -> int:
         return self.num_filters

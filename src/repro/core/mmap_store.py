@@ -36,11 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.inverted_index import ShardSlice, find_slot, probe_by_label, scatter_parts
-from repro.core.paths import paths_to_csr
-from repro.hashing.pairwise import fold_path
-
-Path = tuple[int, ...]
+from repro.core.inverted_index import ShardSlice, probe_by_label, scatter_parts
 
 _MMAP_READ_ONLY_ERROR = (
     "a memory-mapped index is read-only: postings cannot be mutated in "
@@ -127,7 +123,11 @@ def concatenate_shard_slices(
 
 
 class ShardedInvertedFilterIndex:
-    """Read-only, shard-routed drop-in for :class:`InvertedFilterIndex`.
+    """One repetition of a v3 index, read-only and routed by shard.
+
+    It answers what the engine calls on an :class:`InvertedFilterIndex`
+    once loaded — ``probe_batch_routed``, the statistics and the state
+    export — and its ``add`` raises :class:`MmapReadOnlyError`.
 
     Parameters
     ----------
@@ -207,16 +207,6 @@ class ShardedInvertedFilterIndex:
     # Probing (the query hot path)
     # ------------------------------------------------------------------ #
 
-    def probe_batch(
-        self,
-        paths: Sequence[Path],
-        keys: Sequence[int] | np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_batch_routed` for tuple paths, without the routes."""
-        probe_items, probe_offsets = paths_to_csr(paths)
-        ids, offsets, _route = self.probe_batch_routed(probe_items, probe_offsets, keys)
-        return ids, offsets
-
     def probe_batch_routed(
         self,
         probe_items: np.ndarray,
@@ -240,37 +230,12 @@ class ShardedInvertedFilterIndex:
         ids, offsets = scatter_parts(len(probe_offsets) - 1, parts)
         return ids, offsets, route
 
-    def lookup(self, path: Path) -> list[int]:
-        """Vector ids that chose ``path`` (empty list if none)."""
-        path = tuple(path)
-        return self.lookup_keyed(path, fold_path(path))
-
-    def lookup_keyed(self, path: Path, key: int) -> list[int]:
-        """:meth:`lookup` with the path's folded key already in hand."""
-        ids, _offsets = self.probe_batch([tuple(path)], [int(key)])
-        return ids.tolist()
-
-    def __contains__(self, path: Path) -> bool:
-        path = tuple(path)
-        key = fold_path(path)
-        shard = int(route_keys(self._fences, np.asarray([key], dtype=np.uint64))[0])
-        return find_slot(self._slice(shard), key, path) is not None
-
     # ------------------------------------------------------------------ #
-    # Mutation (rejected) and compaction (no-op)
+    # Mutation (rejected)
     # ------------------------------------------------------------------ #
 
     def add(self, *_args: Any, **_kwargs: Any) -> int:
         raise MmapReadOnlyError(_MMAP_READ_ONLY_ERROR)
-
-    def add_many(self, *_args: Any, **_kwargs: Any) -> int:
-        raise MmapReadOnlyError(_MMAP_READ_ONLY_ERROR)
-
-    def add_postings(self, *_args: Any, **_kwargs: Any) -> None:
-        raise MmapReadOnlyError(_MMAP_READ_ONLY_ERROR)
-
-    def compact(self) -> None:
-        """No-op: a mapped store is always compact."""
 
     # ------------------------------------------------------------------ #
     # Statistics and serialisation

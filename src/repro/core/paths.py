@@ -40,8 +40,7 @@ def paths_to_csr(paths: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray
     Path ``k`` occupies ``items[offsets[k]:offsets[k + 1]]``.  This is the
     bridge from tuples of ints to the array-native filter flow, for the
     places that still start from tuples: the serial generator's results and
-    the tuple convenience entry points of the stores (``add``,
-    ``probe_batch``).
+    the stores' tuple ``add``.
     """
     offsets = _running_offsets(map(len, paths), len(paths))
     items = np.fromiter(chain.from_iterable(paths), dtype=ITEM_DTYPE, count=int(offsets[-1]))

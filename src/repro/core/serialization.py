@@ -77,9 +77,11 @@ from repro.core.mmap_store import (
     concatenate_shard_slices,
     shard_key_ranges,
 )
+from repro.core.paths import paths_to_csr
 from repro.core.skewed_index import SkewAdaptiveIndex
 from repro.core.stats import BuildStats
 from repro.data.distributions import ItemDistribution
+from repro.hashing.pairwise import fold_path
 
 #: Format version written by default; bumped on incompatible changes.
 FORMAT_VERSION = 3
@@ -343,14 +345,21 @@ def save_index(
 
 
 def _index_meta(index: AnyIndex, engine: FilterEngine, format_version: int) -> dict[str, Any]:
-    """The JSON metadata block shared by the v2 and v3 writers."""
+    """The JSON metadata block shared by the v2 and v3 writers.
+
+    ``build_seconds`` is left out: a wall-clock reading is telemetry, not
+    index content, and leaving it out makes two saves of one build's
+    content byte-identical.
+    """
+    build_stats = engine.build_stats.to_dict()
+    del build_stats["build_seconds"]
     return {
         "format_version": format_version,
         "config": _config_payload(index),
         "num_vectors": len(engine.vectors),
         "num_vectors_hint": engine.num_vectors_hint,
         "repetitions": engine.repetitions,
-        "build_stats": engine.build_stats.to_dict(),
+        "build_stats": build_stats,
     }
 
 
@@ -682,6 +691,9 @@ def _restore_engine(
     filter_indexes: Any,
 ) -> AnyIndex:
     engine = index._create_engine(max(num_vectors_hint, 1))  # noqa: SLF001
+    # A wall-clock reading belongs to the process that built the index, so a
+    # loaded one reports none, even from an older file that saved one.
+    build_stats.build_seconds = 0.0
     # restore_state rejects a repetition count that disagrees with the
     # engine the saved configuration reconstructs.
     engine.restore_state(vectors, removed, build_stats, filter_indexes)
@@ -689,16 +701,35 @@ def _restore_engine(
     return index
 
 
-def _load_v2(path: Path, persistence: PersistenceConfig) -> AnyIndex:
+def _check_posting_ranges(
+    path: Path, repetition: int, state: dict[str, np.ndarray], num_vectors: int, dimension: int
+) -> None:
+    """Reject a loaded repetition whose postings reference a vector id or an
+    item the file does not hold (a corrupted or hand-edited file)."""
+    ids = state["posting_ids"]
+    if ids.size and int(ids.max()) >= num_vectors:
+        raise ValueError(
+            f"{path} repetition {repetition} references vector ids beyond "
+            f"the {num_vectors} stored vectors; the file is corrupted"
+        )
+    items = state["path_items"]
+    if items.size and int(items.max()) >= dimension:
+        raise ValueError(
+            f"{path} repetition {repetition} references items beyond the "
+            f"universe of size {dimension}; the file is corrupted"
+        )
+
+
+def _load_v2(path: Path) -> AnyIndex:
     try:
-        return _load_v2_container(path, persistence)
+        return _load_v2_container(path)
     except (zipfile.BadZipFile, zlib.error, EOFError) as error:
         # A file can carry the zip magic yet be truncated or corrupt; keep
         # the documented ValueError contract for every malformed input.
         raise ValueError(f"{path} is not a valid index file: {error}") from error
 
 
-def _load_v2_container(path: Path, persistence: PersistenceConfig) -> AnyIndex:
+def _load_v2_container(path: Path) -> AnyIndex:
     with np.load(path, allow_pickle=False) as container:
         try:
             meta = json.loads(bytes(container["meta"]).decode("utf-8"))
@@ -778,19 +809,7 @@ def _load_v2_container(path: Path, persistence: PersistenceConfig) -> AnyIndex:
                     container[prefix + "posting_lengths"]
                 ),
             }
-            if persistence.validate_postings:
-                ids = state["posting_ids"]
-                if ids.size and int(ids.max()) >= num_vectors:
-                    raise ValueError(
-                        f"{path} repetition {repetition} references vector ids beyond "
-                        f"the {num_vectors} stored vectors; the file is corrupted"
-                    )
-                items = state["path_items"]
-                if items.size and int(items.max()) >= dimension:
-                    raise ValueError(
-                        f"{path} repetition {repetition} references items beyond the "
-                        f"universe of size {dimension}; the file is corrupted"
-                    )
+            _check_posting_ranges(path, repetition, state, num_vectors, dimension)
             filter_indexes.append(InvertedFilterIndex.from_state(state))
 
     return _restore_engine(
@@ -956,11 +975,7 @@ class _ShardContainerCache:
         return cached
 
 
-def _load_v3(
-    path: Path,
-    persistence: PersistenceConfig,
-    mode: str,
-) -> AnyIndex:
+def _load_v3(path: Path, mode: str) -> AnyIndex:
     manifest = _read_manifest(path)
     num_shards = int(manifest["num_shards"])
     repetitions = int(manifest["repetitions"])
@@ -1068,19 +1083,7 @@ def _load_v3(
             # key-sorted slices yields the globally sorted store; the keys
             # are adopted directly (no re-fold, no argsort).
             state, keys = concatenate_shard_slices(slices)
-            if persistence.validate_postings:
-                ids = state["posting_ids"]
-                if ids.size and int(ids.max()) >= num_vectors:
-                    raise ValueError(
-                        f"{path} repetition {repetition} references vector ids beyond "
-                        f"the {num_vectors} stored vectors; the file is corrupted"
-                    )
-                items = state["path_items"]
-                if items.size and int(items.max()) >= dimension:
-                    raise ValueError(
-                        f"{path} repetition {repetition} references items beyond the "
-                        f"universe of size {dimension}; the file is corrupted"
-                    )
+            _check_posting_ranges(path, repetition, state, num_vectors, dimension)
             try:
                 filter_indexes.append(InvertedFilterIndex.from_state(state, keys=keys))
             except ValueError as error:
@@ -1118,11 +1121,22 @@ def _load_v1(path: Path) -> AnyIndex:
 
     filter_indexes = []
     for repetition_postings in engine_payload["postings"]:
+        # One posting per (entry, vector id), each carrying its entry's path
+        # and key: compaction's stable sort rebuilds the entries' slots with
+        # their posting lists in file order.
+        paths: list[tuple[int, ...]] = []
+        counts: list[int] = []
+        vector_ids: list[int] = []
+        for stored_path, entry_ids in repetition_postings:
+            paths.append(tuple(int(item) for item in stored_path))
+            counts.append(len(entry_ids))
+            vector_ids.extend(int(v) for v in entry_ids)
         inverted = InvertedFilterIndex()
-        for stored_path, vector_ids in repetition_postings:
-            inverted.add_postings(
-                tuple(int(item) for item in stored_path), [int(v) for v in vector_ids]
-            )
+        inverted.add_csr(
+            np.asarray(vector_ids, dtype=np.int64),
+            np.repeat(np.asarray([fold_path(path) for path in paths], dtype=np.uint64), counts),
+            *paths_to_csr([path for path, count in zip(paths, counts) for _ in range(count)]),
+        )
         inverted.compact()
         filter_indexes.append(inverted)
 
@@ -1138,7 +1152,6 @@ def _load_v1(path: Path) -> AnyIndex:
 
 def load_index(
     path: str | Path,
-    config: PersistenceConfig | None = None,
     mode: str = "ram",
 ) -> AnyIndex:
     """Load an index previously written by :func:`save_index`.
@@ -1154,9 +1167,6 @@ def load_index(
         A format v3 index directory, a v2 single-file container, or a
         legacy v1 JSON file; the format is auto-detected.  Anything else
         raises :class:`ValueError` with the offending version.
-    config:
-        Optional :class:`~repro.core.config.PersistenceConfig` (controls
-        load-time validation).
     mode:
         ``"ram"`` (default) materialises every array in memory — shard
         files are read concurrently and the stored keys make the load
@@ -1168,11 +1178,10 @@ def load_index(
         inserts raise).
     """
     path = Path(path)
-    persistence = config if config is not None else PersistenceConfig()
     if mode not in ("ram", "mmap"):
         raise ValueError(f"mode must be 'ram' or 'mmap', got {mode!r}")
     if path.is_dir():
-        return _load_v3(path, persistence, mode)
+        return _load_v3(path, mode)
     if mode == "mmap":
         raise ValueError(
             f"mode='mmap' requires a format v{FORMAT_VERSION} index directory, but "
@@ -1182,7 +1191,7 @@ def load_index(
     with open(path, "rb") as handle:
         head = handle.read(64)
     if head.startswith(_ZIP_MAGIC):
-        return _load_v2(path, persistence)
+        return _load_v2(path)
     if head.lstrip().startswith(b"{"):
         return _load_v1(path)
     raise ValueError(
@@ -1204,7 +1213,7 @@ def convert_index_file(
     deployments that must hand files back to an older release.  Returns the
     loaded index so callers can keep using it.
     """
-    index = load_index(source, config=config)
+    index = load_index(source)
     save_index(index, destination, config=config)
     return index
 

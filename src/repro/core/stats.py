@@ -251,7 +251,8 @@ class ShardFanoutStats(StatsRecord):
 class BuildStats(StatsRecord):
     """Statistics collected while building an index.
 
-    ``build_seconds`` records the wall-clock time of the build;
+    ``build_seconds`` records the wall-clock time of the build (not
+    saved with the index: a loaded index reports 0.0);
     ``generation_batches`` counts the vectorised generation batches the
     build was executed in (0 for non-batched builders); ``kernel`` carries
     the per-stage kernel work counters accumulated across path generation

@@ -133,13 +133,6 @@ class SetCollection:
         """New collection containing the sets at the given positions."""
         return SetCollection([self._sets[index] for index in indices], dimension=self._dimension)
 
-    def filter_min_size(self, minimum_size: int) -> "SetCollection":
-        """New collection dropping sets smaller than ``minimum_size``."""
-        return SetCollection(
-            [members for members in self._sets if len(members) >= minimum_size],
-            dimension=self._dimension,
-        )
-
     def remap_by_frequency(self, descending: bool = True) -> tuple["SetCollection", np.ndarray]:
         """Relabel items so item 0 is the most (or least) frequent.
 

@@ -185,12 +185,12 @@ def fault_spec_from_env(environ: Any | None = None) -> FaultSpec | None:
 class FaultyTransport(ShardTransport):
     """Any transport, wrapped so a :class:`FaultSpec` can break it.
 
-    Wraps the high-level operations (``probe``/``contains``) rather than
-    the frame plumbing because :class:`InprocTransport` has no frame
-    plumbing to wrap; ``describe`` is left fault-free so topology
-    discovery during load keeps working.  Injected failures are folded
-    into ``counters()``/``health()`` so the router's observability shows
-    them exactly like organic ones.
+    Wraps the high-level operation (``probe``) rather than the frame
+    plumbing because :class:`InprocTransport` has no frame plumbing to
+    wrap; ``describe`` is left fault-free so topology discovery during
+    load keeps working.  Injected failures are folded into
+    ``counters()``/``health()`` so the router's observability shows them
+    exactly like organic ones.
     """
 
     def __init__(self, inner: ShardTransport, spec: FaultSpec) -> None:
@@ -293,10 +293,6 @@ class FaultyTransport(ShardTransport):
         return self._inner.probe(
             worker, repetitions, keys, probe_items, probe_offsets, deadline=deadline
         )
-
-    def contains(self, worker: int, repetition: int, key: int, items: np.ndarray) -> bool:
-        self._before(worker)
-        return self._inner.contains(worker, repetition, key, items)
 
     def describe(self, worker: int) -> dict[str, Any]:
         return self._inner.describe(worker)

@@ -33,7 +33,6 @@ Message kinds (the ``meta["kind"]`` field):
 =========== ==========================================================
 ``probe``    resolve a CSR batch of probes, each against the repetition
              its row of the ``repetitions`` column names
-``contains`` exact is-this-path-stored check for one key
 ``describe`` worker topology/health (owned shards, repetitions, pid,
              probe schema version)
 ``shutdown`` finish the current request loop and exit cleanly
@@ -43,8 +42,9 @@ The probe schema is versioned (:data:`PROTOCOL_VERSION`): version 1 named
 one repetition per frame in ``meta["repetition"]``; version 2 ships a
 per-probe ``repetitions`` column, so one frame carries a whole wave of
 repetitions.  Workers report their version in ``describe`` and the loader
-refuses an older one (:class:`ProtocolVersionError`); the other three
-message kinds are the same in both versions.
+refuses an older one (:class:`ProtocolVersionError`); the other two
+message kinds are the same in both versions.  A worker answers any other
+kind with an error response and keeps serving.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from repro.core.dtypes import REPETITION_DTYPE
 PROTOCOL_VERSION = 2
 
 MESSAGE_PROBE = "probe"
-MESSAGE_CONTAINS = "contains"
 MESSAGE_DESCRIBE = "describe"
 MESSAGE_SHUTDOWN = "shutdown"
 

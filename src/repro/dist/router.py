@@ -16,12 +16,11 @@ functions (:mod:`repro.core.inverted_index`) over the same arrays — only
 the process boundary moved.
 
 :class:`RouterBackedFilterIndex` wraps one repetition of the routed index
-in the store interface the per-repetition callers speak (tuple lookups,
-``in``, statistics); the engine's query surfaces call the router itself
-and only change *when* a repetition's probes are resolved, so the
-pipeline above the probe layer (dedupe, merges, verification, stats) is
-untouched — that is what makes all five query surfaces equivalent for
-free.
+for the engine's per-repetition bookkeeping (statistics, the read-only
+``add``); the engine's query surfaces call the router itself and only
+change *when* a repetition's probes are resolved, so the pipeline above
+the probe layer (dedupe, merges, verification, stats) is untouched —
+that is what makes all five query surfaces equivalent for free.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import numpy as np
 from repro.core.engine import DeadlineExceededError
 from repro.core.inverted_index import ProbePart, _segment_gather, scatter_parts
 from repro.core.mmap_store import MmapReadOnlyError, route_keys
-from repro.core.paths import paths_to_csr
 from repro.core.stats import ShardFanoutStats
 from repro.dist import protocol
 from repro.dist.breaker import CircuitBreaker
@@ -45,15 +43,18 @@ from repro.dist.transport import (
     ShardUnavailableError,
     ShardWorkerError,
 )
-from repro.hashing.pairwise import fold_path
-
-Path = tuple[int, ...]
 
 _ROUTER_READ_ONLY_ERROR = (
     "a router-backed index is read-only: shard workers serve mmap views and "
     "cannot accept postings; reload the index with load_index(path, "
     "mode='ram') to insert (removals are fine — tombstones overlay at the "
     "engine level in the router process and never reach the workers)"
+)
+
+_ROUTER_EXPORT_ERROR = (
+    "a router-backed index cannot be materialised: its shards live in "
+    "worker processes; reload with load_index(path, mode='mmap') or "
+    "mode='ram' to export or convert"
 )
 
 
@@ -337,15 +338,6 @@ class ShardRouter:
         ids, offsets = scatter_parts(num_probes, parts)
         return ids, offsets, route.astype(np.int64, copy=False)
 
-    def contains(self, repetition: int, path: Path) -> bool:
-        """Exact stored-path check, answered by the owning worker."""
-        key = fold_path(path)
-        shard = int(route_keys(self._fences, np.asarray([key], dtype=np.uint64))[0])
-        worker = int(self._shard_to_worker[shard])
-        return self._transport.contains(
-            worker, repetition, key, np.asarray(path, dtype=np.int64)
-        )
-
     def close(self) -> None:
         """Shut the transport down (idempotent); workers stop or disconnect."""
         if self._closed:
@@ -357,14 +349,14 @@ class ShardRouter:
 
 
 class RouterBackedFilterIndex:
-    """One repetition of a routed index, speaking the store contract.
+    """One repetition of a routed index: its statistics, not its probes.
 
-    Drop-in for :class:`~repro.core.mmap_store.ShardedInvertedFilterIndex`
-    on the read path; statistics answer from the manifest counts exactly as
-    the mmap store does, and mutation raises the same read-only error
-    family.  A probe through this view is a fan-out of its own, for one
-    repetition — right for lookups and diagnostics; the engine's query
-    surfaces resolve whole waves of repetitions through the router itself.
+    The engine's query surfaces probe through the :class:`ShardRouter`
+    itself, a whole wave of repetitions per fan-out, so this view holds
+    only what the engine asks of a store besides probes: statistics that
+    answer from the manifest counts exactly as the mmap store's do, and an
+    ``add`` / state export that raise (the read-only error family, and
+    ``TypeError``: the shards live in the workers).
     """
 
     def __init__(
@@ -391,55 +383,12 @@ class RouterBackedFilterIndex:
     def fences(self) -> np.ndarray:
         return self._router.fences
 
-    def probe_batch(
-        self,
-        paths: Sequence[Path],
-        keys: Sequence[int] | np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_batch_routed` for tuple paths, without the routes."""
-        probe_items, probe_offsets = paths_to_csr(paths)
-        ids, offsets, _route = self.probe_batch_routed(probe_items, probe_offsets, keys)
-        return ids, offsets
-
-    def probe_batch_routed(
-        self,
-        probe_items: np.ndarray,
-        probe_offsets: np.ndarray,
-        keys: Sequence[int] | np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve many CSR probes across the shard workers; slices + route."""
-        return self._router.probe_batch_routed(
-            self._repetition, probe_items, probe_offsets, keys
-        )
-
-    def lookup(self, path: Path) -> list[int]:
-        """Vector ids that chose ``path`` (empty list if none)."""
-        path = tuple(path)
-        return self.lookup_keyed(path, fold_path(path))
-
-    def lookup_keyed(self, path: Path, key: int) -> list[int]:
-        """:meth:`lookup` with the path's folded key already in hand."""
-        ids, _offsets = self.probe_batch([tuple(path)], [int(key)])
-        return ids.tolist()
-
-    def __contains__(self, path: Path) -> bool:
-        return self._router.contains(self._repetition, tuple(path))
-
     # ------------------------------------------------------------------ #
-    # Mutation (rejected) and compaction (no-op)
+    # Mutation (rejected)
     # ------------------------------------------------------------------ #
 
     def add(self, *_args: Any, **_kwargs: Any) -> int:
         raise MmapReadOnlyError(_ROUTER_READ_ONLY_ERROR)
-
-    def add_many(self, *_args: Any, **_kwargs: Any) -> int:
-        raise MmapReadOnlyError(_ROUTER_READ_ONLY_ERROR)
-
-    def add_postings(self, *_args: Any, **_kwargs: Any) -> None:
-        raise MmapReadOnlyError(_ROUTER_READ_ONLY_ERROR)
-
-    def compact(self) -> None:
-        """No-op: the workers' mapped shards are always compact."""
 
     # ------------------------------------------------------------------ #
     # Statistics and serialisation
@@ -459,18 +408,10 @@ class RouterBackedFilterIndex:
         return self.num_filters
 
     def to_state(self) -> dict[str, np.ndarray]:
-        raise TypeError(
-            "a router-backed index cannot be materialised: its shards live in "
-            "worker processes; reload with load_index(path, mode='mmap') or "
-            "mode='ram' to export or convert"
-        )
+        raise TypeError(_ROUTER_EXPORT_ERROR)
 
     def to_sorted_state(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        raise TypeError(
-            "a router-backed index cannot be materialised: its shards live in "
-            "worker processes; reload with load_index(path, mode='mmap') or "
-            "mode='ram' to export or convert"
-        )
+        raise TypeError(_ROUTER_EXPORT_ERROR)
 
     def __repr__(self) -> str:
         return (

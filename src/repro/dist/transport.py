@@ -15,7 +15,7 @@ One small interface, three implementations:
   Same bounded timeout; recovery is one reconnect instead of a respawn.
 
 The router never knows which one it holds: every transport exposes
-``probe``/``contains``/``describe``/``close``, per-worker shard
+``probe``/``describe``/``close``, per-worker shard
 assignments, and cumulative failure/recovery counters.
 """
 
@@ -182,18 +182,6 @@ class ShardTransport:
         _meta, arrays = self._decode_response(self._request(worker, payload))
         return arrays["lengths"], arrays["ids"]
 
-    def contains(self, worker: int, repetition: int, key: int, items: np.ndarray) -> bool:
-        payload = protocol.encode_message(
-            {
-                "kind": protocol.MESSAGE_CONTAINS,
-                "repetition": int(repetition),
-                "key": int(key),
-            },
-            {"items": np.ascontiguousarray(items, dtype=np.int64)},
-        )
-        meta, _arrays = self._decode_response(self._request(worker, payload))
-        return bool(meta["stored"])
-
     def describe(self, worker: int) -> dict[str, Any]:
         payload = protocol.encode_message({"kind": protocol.MESSAGE_DESCRIBE})
         meta, _arrays = self._decode_response(self._request(worker, payload))
@@ -245,9 +233,6 @@ class InprocTransport(ShardTransport):
             probe_offsets,
             deadline=deadline,
         )
-
-    def contains(self, worker: int, repetition: int, key: int, items: np.ndarray) -> bool:
-        return self._states[worker].contains(repetition, key, np.asarray(items, dtype=np.int64))
 
     def describe(self, worker: int) -> dict[str, Any]:
         return self._states[worker].describe()

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.dtypes import REPETITION_DTYPE
 from repro.core.engine import DeadlineExceededError
-from repro.core.inverted_index import ShardSlice, find_slot, probe_by_label, scatter_parts
+from repro.core.inverted_index import ShardSlice, probe_by_label, scatter_parts
 from repro.core.mmap_store import route_keys
 from repro.core.serialization import (
     _read_manifest,
@@ -184,11 +184,6 @@ class ShardWorkerState:
         )
         return np.diff(out_offsets), ids
 
-    def contains(self, repetition: int, key: int, items: np.ndarray) -> bool:
-        """Exact is-this-path-stored check (empty posting lists included)."""
-        shard = int(route_keys(self._fences, np.asarray([key], dtype=np.uint64))[0])
-        return find_slot(self._slice(repetition, shard), key, items) is not None
-
     def describe(self) -> dict[str, Any]:
         """Topology and liveness facts for router validation and /stats."""
         return {
@@ -241,20 +236,6 @@ class ShardWorkerState:
                     deadline=None if raw_deadline is None else float(raw_deadline),
                 )
                 return protocol.encode_probe_response(lengths, ids), False
-            if kind == protocol.MESSAGE_CONTAINS:
-                stored = self.contains(
-                    int(meta["repetition"]), int(meta["key"]), arrays["items"]
-                )
-                return (
-                    protocol.encode_message(
-                        {
-                            "kind": kind,
-                            "status": protocol.STATUS_OK,
-                            "stored": stored,
-                        }
-                    ),
-                    False,
-                )
             if kind == protocol.MESSAGE_DESCRIBE:
                 meta_out = {"kind": kind, "status": protocol.STATUS_OK}
                 meta_out.update(self.describe())

@@ -8,7 +8,7 @@ can compare shapes directly against the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def _format_value(value: object, precision: int) -> str:
@@ -88,11 +88,6 @@ def format_series(
             row[name] = float(values[index])
         rows.append(row)
     return format_table(rows, precision=precision, title=title)
-
-
-def format_comparison_summary(rows: Iterable[Mapping[str, object]], title: str) -> str:
-    """Convenience wrapper used by the method-comparison benches."""
-    return format_table(list(rows), title=title)
 
 
 def indent(text: str, prefix: str = "    ") -> str:

@@ -90,10 +90,6 @@ class RandomSource:
         """Return a new independent :class:`RandomSource` derived by labels."""
         return RandomSource(derive_seed(self._seed, *labels))
 
-    def child_seeds(self, count: int, label: str = "child") -> list[int]:
-        """Return ``count`` derived seeds (see :func:`split_seed`)."""
-        return split_seed(self._seed, count, label=label)
-
     def fresh_generator(self, *labels: object) -> np.random.Generator:
         """Return a new numpy generator seeded by the derived labels."""
         return np.random.default_rng(derive_seed(self._seed, *labels))

@@ -44,10 +44,6 @@ class TabulationHash:
             result ^= self._tables[character_index, byte]
         return int(result)
 
-    def hash_unit(self, key: int) -> float:
-        """Hash a key to a float in ``[0, 1)``."""
-        return self.hash_int(key) / float(1 << 64)
-
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised hashing of an array of non-negative integer keys."""
         keys = np.asarray(keys, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
@@ -56,10 +52,6 @@ class TabulationHash:
             bytes_ = (keys >> np.uint64(8 * character_index)) & np.uint64(0xFF)
             result ^= self._tables[character_index, bytes_.astype(np.int64)]
         return result
-
-    def hash_array_unit(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised hashing of keys to floats in ``[0, 1)``."""
-        return self.hash_array(keys).astype(np.float64) / float(1 << 64)
 
     def __call__(self, key: int) -> int:
         return self.hash_int(key)

@@ -190,13 +190,6 @@ class TestBatchSingleEquivalence:
                 assert _work(stats) == _work(batch_stats.per_query[0]), store
                 assert stats.kernel == batch_stats.kernel, store
 
-    def test_deduplicate_off_matches(self, built_indexes, batch_queries):
-        index = built_indexes["skew_adaptive"]
-        with_dedupe, _ = index.query_batch(batch_queries, deduplicate=True)
-        without_dedupe, stats = index.query_batch(batch_queries, deduplicate=False)
-        assert with_dedupe == without_dedupe
-        assert stats.queries_deduplicated == 0
-
     def test_empty_batch(self, built_indexes):
         results, stats = built_indexes["skew_adaptive"].query_batch([])
         assert results == []
@@ -222,9 +215,10 @@ class TestBatchSingleEquivalence:
             built_indexes["skew_adaptive"].query_batch([{1, 2}], batch_size=0)
 
     def test_invalid_max_workers_rejected(self, built_indexes):
-        # Chunks always run serially: the thread-pool knobs are gone, and
-        # passing one is a TypeError rather than a silently ignored option.
-        for knob in ("max_workers", "shard_workers"):
+        # Chunks always run serially and duplicates are always answered
+        # once: those knobs are gone, and passing one is a TypeError rather
+        # than a silently ignored option.
+        for knob in ("max_workers", "shard_workers", "deduplicate"):
             with pytest.raises(TypeError, match=knob):
                 built_indexes["skew_adaptive"].query_batch([{1, 2}], **{knob: 2})
 
@@ -240,10 +234,12 @@ class TestBatchStatsAccounting:
 
     def test_probe_dedupe_counts_shared_filters(self, built_indexes, batch_dataset):
         index = built_indexes["skew_adaptive"]
-        # Identical queries with deduplication disabled must share probes.
-        _results, stats = index.query_batch(
-            [batch_dataset[0]] * 4, deduplicate=False
-        )
+        # Distinct queries (so none is a cache hit) that differ by one rare
+        # item each must share probes.
+        base = batch_dataset[0]
+        extras = sorted(set(range(400, 440)) - base)[:3]
+        _results, stats = index.query_batch([base] + [base | {item} for item in extras])
+        assert stats.queries_deduplicated == 0
         first_stats = stats.per_query[0]
         if first_stats.filters_generated > 0:
             assert stats.duplicate_filter_probes > 0
@@ -256,8 +252,9 @@ class TestBatchStatsAccounting:
         assert stats.verification_seconds >= 0.0
 
     def test_batch_config_kwargs(self):
-        config = BatchQueryConfig(batch_size=32, deduplicate_queries=False)
-        assert config.as_kwargs() == {"batch_size": 32, "deduplicate": False}
+        assert BatchQueryConfig(batch_size=32).as_kwargs() == {"batch_size": 32}
+        with pytest.raises(TypeError, match="deduplicate_queries"):
+            BatchQueryConfig(deduplicate_queries=False)
         assert BatchQueryConfig(allow_partial=True).as_kwargs()["allow_partial"] is True
         with pytest.raises(ValueError):
             BatchQueryConfig(batch_size=0)

@@ -85,7 +85,9 @@ class TestPersistenceConfig:
         assert config.format_version == 3
         assert config.shards == 8
         assert config.compress is True
-        assert config.validate_postings is True
+        # The range checks on load always run; there is no switch for them.
+        with pytest.raises(TypeError, match="validate_postings"):
+            PersistenceConfig(validate_postings=False)
 
     def test_invalid_format_version(self):
         from repro.core.config import PersistenceConfig

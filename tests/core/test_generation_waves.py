@@ -20,6 +20,7 @@ from repro.core.engine import _WAVE_VIRTUAL_VECTORS
 from repro.core.kernels import KEYS_FOLDED, PATHS_EXTENDED, new_counters
 from repro.core.skewed_index import SkewAdaptiveIndex
 from repro.similarity.measures import braun_blanquet
+from store_probe import posting_list
 
 REPETITIONS = 8
 #: Chunk sizes on both sides of every width the schedule can pick: a lone
@@ -83,7 +84,7 @@ def reference_query(engine, query, mode):
         counts["filters_generated"] += len(paths)
         counts["shards_probed"] += 1 if paths else 0
         for path in paths:
-            for vector_id in engine.filter_indexes[repetition].lookup(path):
+            for vector_id in posting_list(engine.filter_indexes[repetition], path):
                 counts["candidates_examined"] += 1
                 if vector_id in seen or engine.is_removed(vector_id):
                     continue
@@ -148,7 +149,7 @@ def test_query_candidates_equals_the_plain_reference_loop(index, queries):
             paths = engine.query_filters(query, repetition)
             filters += len(paths)
             for path in paths:
-                postings = engine.filter_indexes[repetition].lookup(path)
+                postings = posting_list(engine.filter_indexes[repetition], path)
                 collisions += len(postings)
                 expected.update(v for v in postings if not engine.is_removed(v))
         candidates, stats = index.query_candidates(query)

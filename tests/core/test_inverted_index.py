@@ -8,6 +8,16 @@ import pytest
 from repro.core.inverted_index import STATE_ARRAY_NAMES, InvertedFilterIndex
 from repro.core.paths import paths_to_csr
 from repro.hashing.pairwise import fold_path
+from store_probe import posting_list
+
+
+def _probe(index, paths, keys=None):
+    """``(ids, offsets)`` of one CSR probe over ``paths`` (their folded keys
+    unless ``keys`` forces others)."""
+    if keys is None:
+        keys = [fold_path(path) for path in paths]
+    ids, offsets, _route = index.probe_batch_routed(*paths_to_csr(paths), keys)
+    return ids, offsets
 
 
 class TestAdd:
@@ -19,43 +29,36 @@ class TestAdd:
         with pytest.raises(ValueError):
             InvertedFilterIndex().add(-1, [(1,)])
 
-    def test_add_many_uses_positions(self):
-        index = InvertedFilterIndex()
-        total = index.add_many([[(1,)], [(1,), (2,)]])
-        assert total == 3
-        assert index.lookup((1,)) == [0, 1]
-        assert index.lookup((2,)) == [1]
-
     def test_duplicate_paths_allowed(self):
         index = InvertedFilterIndex()
         index.add(0, [(1, 2), (1, 2)])
-        assert index.lookup((1, 2)) == [0, 0]
+        assert posting_list(index, (1, 2)) == [0, 0]
         assert index.total_entries == 2
 
 
 class TestLookup:
     def test_missing_path_empty(self):
-        assert InvertedFilterIndex().lookup((9, 9)) == []
+        assert posting_list(InvertedFilterIndex(), (9, 9)) == []
 
     def test_contains(self):
         index = InvertedFilterIndex()
         index.add(3, [(4, 5)])
-        assert (4, 5) in index
-        assert (5, 4) not in index
+        assert posting_list(index, (4, 5)) == [3]
+        assert posting_list(index, (5, 4)) == []
 
     def test_candidates_counts_multiplicity(self):
-        """candidates() yields one entry per shared filter, matching the
-        paper's work measure sum_x |F(q) ∩ F(x)|."""
+        """A probe yields one entry per shared filter, matching the paper's
+        work measure sum_x |F(q) ∩ F(x)|."""
         index = InvertedFilterIndex()
         index.add(0, [(1,), (2,)])
         index.add(1, [(1,)])
-        candidates = list(index.candidates([(1,), (2,), (3,)]))
-        assert sorted(candidates) == [0, 0, 1]
+        ids, _offsets = _probe(index, [(1,), (2,), (3,)])
+        assert sorted(ids.tolist()) == [0, 0, 1]
 
     def test_lists_convert_to_tuples(self):
         index = InvertedFilterIndex()
         index.add(0, [[7, 8]])
-        assert index.lookup((7, 8)) == [0]
+        assert posting_list(index, (7, 8)) == [0]
 
 
 class TestStatistics:
@@ -71,15 +74,7 @@ class TestStatistics:
         index = InvertedFilterIndex()
         index.add(0, [(1,), (2,)])
         index.add(1, [(1,)])
-        assert sorted(index.posting_sizes()) == [1, 2]
-
-    def test_heaviest_filters(self):
-        index = InvertedFilterIndex()
-        index.add(0, [(1,)])
-        index.add(1, [(1,), (2,)])
-        index.add(2, [(1,)])
-        heaviest = index.heaviest_filters(1)
-        assert heaviest == [((1,), 3)]
+        assert sorted(len(posting_list(index, path)) for path in [(1,), (2,)]) == [1, 2]
 
     def test_repr(self):
         index = InvertedFilterIndex()
@@ -106,8 +101,8 @@ class TestKeyedAdd:
         index = InvertedFilterIndex()
         paths = [(1, 2), (3,)]
         index.add(5, paths, keys=[fold_path(path) for path in paths])
-        assert index.lookup((1, 2)) == [5]
-        assert index.lookup((3,)) == [5]
+        assert posting_list(index, (1, 2)) == [5]
+        assert posting_list(index, (3,)) == [5]
 
     def test_key_count_mismatch_rejected(self):
         index = InvertedFilterIndex()
@@ -116,19 +111,7 @@ class TestKeyedAdd:
         # The failed add must not have mutated the index.
         assert index.num_filters == 0
         assert index.total_entries == 0
-        assert index.lookup((1,)) == []
-
-    def test_lookup_keyed_matches_lookup(self):
-        index = _populated()
-        for path in [(1,), (2, 3), (4,), (9, 9)]:
-            assert index.lookup_keyed(path, fold_path(path)) == index.lookup(path)
-
-    def test_candidates_with_keys(self):
-        index = _populated()
-        paths = [(2, 3), (4,)]
-        keys = [fold_path(path) for path in paths]
-        assert list(index.candidates(paths, keys)) == list(index.candidates(paths))
-
+        assert posting_list(index, (1,)) == []
 
 class TestKeyCollisions:
     """Distinct paths sharing one 64-bit key (forced via ``keys=``) must keep
@@ -146,17 +129,17 @@ class TestKeyCollisions:
     def test_collided_paths_stay_separate(self):
         index = self._collided()
         assert index.num_filters == 2
-        assert index.lookup_keyed((1, 2), self.SAME_KEY) == [0, 2]
-        assert index.lookup_keyed((3, 4), self.SAME_KEY) == [1]
-        assert index.lookup_keyed((9, 9), self.SAME_KEY) == []
+        assert posting_list(index, (1, 2), self.SAME_KEY) == [0, 2]
+        assert posting_list(index, (3, 4), self.SAME_KEY) == [1]
+        assert posting_list(index, (9, 9), self.SAME_KEY) == []
 
     def test_collided_paths_survive_compaction(self):
         index = self._collided()
         index.compact()
-        assert index.lookup_keyed((1, 2), self.SAME_KEY) == [0, 2]
-        assert index.lookup_keyed((3, 4), self.SAME_KEY) == [1]
+        assert posting_list(index, (1, 2), self.SAME_KEY) == [0, 2]
+        assert posting_list(index, (3, 4), self.SAME_KEY) == [1]
         index.add(7, [(3, 4)], keys=[self.SAME_KEY])
-        assert index.lookup_keyed((3, 4), self.SAME_KEY) == [1, 7]
+        assert posting_list(index, (3, 4), self.SAME_KEY) == [1, 7]
 
     def test_from_state_rebuilds_collision_chain(self):
         """True fold_path collisions are unobservable in practice, so force
@@ -174,19 +157,19 @@ class TestKeyCollisions:
             restored = InvertedFilterIndex.from_state(state)
         finally:
             inverted_module.fold_paths_csr = original_fold
-        assert restored.lookup_keyed((1, 2), self.SAME_KEY) == [0, 2]
-        assert restored.lookup_keyed((3, 4), self.SAME_KEY) == [1]
-        assert restored.lookup_keyed((5, 6), self.SAME_KEY) == []
+        assert posting_list(restored, (1, 2), self.SAME_KEY) == [0, 2]
+        assert posting_list(restored, (3, 4), self.SAME_KEY) == [1]
+        assert posting_list(restored, (5, 6), self.SAME_KEY) == []
         _assert_same_state(restored, index)
 
 
 class TestCompaction:
     def test_compact_preserves_lookups(self):
         index = _populated()
-        before = {path: index.lookup(path) for path in [(1,), (2, 3), (4,)]}
+        before = {path: posting_list(index, path) for path in [(1,), (2, 3), (4,)]}
         index.compact()
         for path, postings in before.items():
-            assert index.lookup(path) == postings
+            assert posting_list(index, path) == postings
         assert index.num_filters == 3
         assert index.total_entries == 7
 
@@ -194,25 +177,25 @@ class TestCompaction:
         index = _populated()
         index.compact()
         index.compact()
-        assert index.lookup((4,)) == [0, 1, 2, 2]
+        assert posting_list(index, (4,)) == [0, 1, 2, 2]
 
     def test_adds_after_compact_append_in_order(self):
         index = _populated()
         index.compact()
         index.add(7, [(4,), (8, 8)])
-        assert index.lookup((4,)) == [0, 1, 2, 2, 7]
-        assert index.lookup((8, 8)) == [7]
+        assert posting_list(index, (4,)) == [0, 1, 2, 2, 7]
+        assert posting_list(index, (8, 8)) == [7]
         index.compact()
-        assert index.lookup((4,)) == [0, 1, 2, 2, 7]
-        assert index.lookup((8, 8)) == [7]
+        assert posting_list(index, (4,)) == [0, 1, 2, 2, 7]
+        assert posting_list(index, (8, 8)) == [7]
         assert index.num_filters == 4
 
     def test_posting_sizes_consistent_across_compaction(self):
         index = _populated()
-        uncompacted = sorted(index.posting_sizes())
+        paths = [(1,), (2, 3), (4,)]
+        uncompacted = [len(posting_list(index, path)) for path in paths]
         index.compact()
-        assert sorted(index.posting_sizes()) == uncompacted
-        assert index.heaviest_filters(1) == [((4,), 4)]
+        assert [len(posting_list(index, path)) for path in paths] == uncompacted == [1, 2, 4]
 
 
 class TestProbeBatch:
@@ -220,22 +203,22 @@ class TestProbeBatch:
         index = _populated()
         paths = [(1,), (2, 3), (4,), (9, 9), (2, 3)]
         keys = [fold_path(path) for path in paths]
-        ids, offsets = index.probe_batch(paths, keys)
+        ids, offsets = _probe(index, paths, keys)
         assert offsets.tolist()[0] == 0
         assert offsets.size == len(paths) + 1
         for position, path in enumerate(paths):
             segment = ids[offsets[position] : offsets[position + 1]].tolist()
-            assert segment == index.lookup(path)
+            assert segment == posting_list(index, path)
 
     def test_empty_probe_list(self):
-        ids, offsets = _populated().probe_batch([], [])
+        ids, offsets = _probe(_populated(), [])
         assert ids.size == 0
         assert offsets.tolist() == [0]
 
     def test_empty_index(self):
         index = InvertedFilterIndex()
         paths = [(1,), (2,)]
-        ids, offsets = index.probe_batch(paths, [fold_path(p) for p in paths])
+        ids, offsets = _probe(index, paths)
         assert ids.size == 0
         assert offsets.tolist() == [0, 0, 0]
 
@@ -244,7 +227,7 @@ class TestProbeBatch:
         index.compact()
         index.add(9, [(4,), (8, 8)])
         paths = [(4,), (8, 8)]
-        ids, offsets = index.probe_batch(paths, [fold_path(p) for p in paths])
+        ids, offsets = _probe(index, paths)
         assert ids[offsets[0] : offsets[1]].tolist() == [0, 1, 2, 2, 9]
         assert ids[offsets[1] : offsets[2]].tolist() == [9]
 
@@ -254,7 +237,7 @@ class TestProbeBatch:
         index = InvertedFilterIndex()
         index.add(0, [(1, 2)], keys=[777])
         index.compact()
-        ids, offsets = index.probe_batch([(3, 4), (1, 2)], [777, 777])
+        ids, offsets = _probe(index, [(3, 4), (1, 2)], [777, 777])
         assert ids[offsets[0] : offsets[1]].tolist() == []
         assert ids[offsets[1] : offsets[2]].tolist() == [0]
 
@@ -264,7 +247,7 @@ class TestProbeBatch:
         index.add(1, [(3, 4)], keys=[777])
         index.add(2, [(1, 2)], keys=[777])
         paths = [(1, 2), (3, 4), (5, 6)]
-        ids, offsets = index.probe_batch(paths, [777, 777, 777])
+        ids, offsets = _probe(index, paths, [777, 777, 777])
         assert ids[offsets[0] : offsets[1]].tolist() == [0, 2]
         assert ids[offsets[1] : offsets[2]].tolist() == [1]
         assert ids[offsets[2] : offsets[3]].tolist() == []
@@ -288,7 +271,7 @@ class TestBulkCompaction:
         fresh.add(7, [(4,), (8, 8), (1,)])
         fresh.compact()
         for path in [(1,), (2, 3), (4,), (8, 8), (9, 9)]:
-            assert incremental.lookup(path) == fresh.lookup(path)
+            assert posting_list(incremental, path) == posting_list(fresh, path)
         assert incremental.num_filters == fresh.num_filters
         assert incremental.total_entries == fresh.total_entries
 
@@ -378,11 +361,11 @@ class TestBulkCompaction:
         }
         restored = InvertedFilterIndex.from_state(shuffled)
         for path in [(1,), (2, 3), (4,), (9, 9)]:
-            assert restored.lookup(path) == index.lookup(path)
+            assert posting_list(restored, path) == posting_list(index, path)
         paths = [(1,), (2, 3), (4,)]
         keys = [fold_path(p) for p in paths]
-        ids, offsets = restored.probe_batch(paths, keys)
-        expected_ids, expected_offsets = index.probe_batch(paths, keys)
+        ids, offsets = _probe(restored, paths, keys)
+        expected_ids, expected_offsets = _probe(index, paths, keys)
         assert ids.tolist() == expected_ids.tolist()
         assert offsets.tolist() == expected_offsets.tolist()
         _assert_same_state(restored, index)
@@ -393,7 +376,7 @@ class TestStateRoundTrip:
         index = _populated()
         restored = InvertedFilterIndex.from_state(index.to_state())
         for path in [(1,), (2, 3), (4,), (9,)]:
-            assert restored.lookup(path) == index.lookup(path)
+            assert posting_list(restored, path) == posting_list(index, path)
         assert restored.num_filters == index.num_filters
         assert restored.total_entries == index.total_entries
 
@@ -406,8 +389,8 @@ class TestStateRoundTrip:
     def test_restored_index_accepts_new_postings(self):
         restored = InvertedFilterIndex.from_state(_populated().to_state())
         restored.add(9, [(4,), (5, 6)])
-        assert restored.lookup((4,)) == [0, 1, 2, 2, 9]
-        assert restored.lookup((5, 6)) == [9]
+        assert posting_list(restored, (4,)) == [0, 1, 2, 2, 9]
+        assert posting_list(restored, (5, 6)) == [9]
 
     def test_missing_array_rejected(self):
         state = dict(_populated().to_state())
@@ -440,4 +423,4 @@ class TestStateRoundTrip:
     def test_empty_index_round_trip(self):
         restored = InvertedFilterIndex.from_state(InvertedFilterIndex().to_state())
         assert restored.num_filters == 0
-        assert restored.lookup((1,)) == []
+        assert posting_list(restored, (1,)) == []

@@ -89,9 +89,11 @@ class TestSaveValidation:
             meta = json.loads(bytes(container["meta"]).decode("utf-8"))
         assert meta["format_version"] == V2_FORMAT_VERSION
         assert meta["config"]["kind"] == "skew_adaptive"
-        assert set(meta["build_stats"]) == set(
-            adversarial_index.build_stats.to_dict()
-        )
+        # Every BuildStats field but the wall-clock reading, which is not
+        # index content.
+        assert set(meta["build_stats"]) == set(adversarial_index.build_stats.to_dict()) - {
+            "build_seconds"
+        }
 
     def test_no_pickled_objects_in_file(self, adversarial_index, tmp_path):
         """The v2 container must stay loadable with allow_pickle=False."""
@@ -185,16 +187,39 @@ class TestRoundTrip:
             assert loaded.get_vector(vector_id) == adversarial_index.get_vector(vector_id)
 
     def test_round_trip_preserves_full_build_stats(self, adversarial_index, tmp_path):
-        """Every BuildStats field survives, including the extended ones
-        (build_seconds, generation_batches) that format v1 silently dropped."""
+        """Every BuildStats field but the wall-clock ``build_seconds``
+        survives, including ``generation_batches``, which format v1 silently
+        dropped.  ``build_seconds`` is not index content, so it is not saved
+        and a loaded index reports 0.0."""
         path = tmp_path / "index.bin"
         save_index(adversarial_index, path)
-        loaded = load_index(path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert "build_seconds" not in manifest["build_stats"]
         original = adversarial_index.build_stats.to_dict()
-        restored = loaded.build_stats.to_dict()
-        assert restored == original
-        assert restored["build_seconds"] > 0.0
+        restored = load_index(path).build_stats.to_dict()
+        assert original["build_seconds"] > 0.0
+        assert restored == {**original, "build_seconds": 0.0}
         assert restored["generation_batches"] > 0
+        # A file saved before the rule holds a reading; it loads as 0.0.
+        manifest["build_stats"]["build_seconds"] = 1.5
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        assert load_index(path).build_stats.to_dict() == restored
+
+    def test_two_builds_save_identical_bytes(self, skewed_distribution, skewed_dataset, tmp_path):
+        """A saved index is a pure function of its content: two independent
+        builds of one dataset and seed save byte-identical v3 directories,
+        ``manifest.json`` included."""
+        saved = []
+        for attempt in range(2):
+            index = SkewAdaptiveIndex(
+                skewed_distribution, config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=4, seed=7)
+            )
+            index.build(skewed_dataset[:80])
+            path = tmp_path / f"build{attempt}"
+            save_index(index, path, config=PersistenceConfig(shards=4))
+            saved.append({file.name: file.read_bytes() for file in sorted(path.iterdir())})
+        assert "manifest.json" in saved[0]
+        assert saved[0] == saved[1]
 
     def test_round_trip_preserves_removals(self, adversarial_index, skewed_dataset, tmp_path):
         adversarial_index.remove(2)
@@ -295,7 +320,7 @@ class TestLoadValidation:
 
     def test_out_of_range_posting_ids_rejected(self, adversarial_index, tmp_path):
         """Corrupted posting ids referencing missing vectors fail the
-        validate_postings integrity check."""
+        load-time range check."""
         path = tmp_path / "index.bin"
         save_index(adversarial_index, path, config=V2)
         with np.load(path, allow_pickle=False) as container:
@@ -737,18 +762,34 @@ class TestMmapMode:
                 == adversarial_index.query(skewed_dataset[query_id])[0]
             )
 
-    def test_contains_handles_empty_shards(self, adversarial_index, tmp_path):
-        """Membership probes that route to an empty key-range shard return
-        False instead of tripping over the empty offsets array."""
+    def test_contains_handles_empty_shards(
+        self, skewed_distribution, skewed_dataset, tmp_path
+    ):
+        """Probes that route to an empty key-range shard answer zero
+        postings instead of tripping over the empty offsets array."""
+        index = SkewAdaptiveIndex(
+            skewed_distribution, config=SkewAdaptiveIndexConfig(b1=0.5, repetitions=1, seed=31)
+        )
+        index.build(skewed_dataset[:3])
         path = tmp_path / "index.v3"
-        save_index(adversarial_index, path, config=PersistenceConfig(shards=64))
-        loaded = load_index(path, mode="mmap")
-        engine = loaded._engine
-        store = engine.filter_indexes[0]
-        hits = 0
-        for probe in [(0,), (1, 2), (3, 4, 5), (250, 251), (7,)]:
-            hits += probe in store  # must not raise, whatever shard it routes to
-        assert hits >= 0
+        save_index(index, path, config=PersistenceConfig(shards=64))
+        manifest = json.loads((path / "manifest.json").read_text())
+        empty = [
+            shard
+            for shard, entry in enumerate(manifest["shards"])
+            if entry["repetitions"][0]["num_slots"] == 0
+        ]
+        assert empty
+        store = load_index(path, mode="mmap")._engine.filter_indexes[0]
+        # One probe keyed at the lower bound of each empty shard's range.
+        keys = np.asarray(
+            [0 if shard == 0 else store.fences[shard - 1] for shard in empty], dtype=np.uint64
+        )
+        items, offsets = paths_to_csr([(1, 2)] * len(empty))
+        ids, out_offsets, route = store.probe_batch_routed(items, offsets, keys)
+        assert route.tolist() == empty
+        assert ids.size == 0
+        assert out_offsets.tolist() == [0] * (len(empty) + 1)
 
     def test_mmap_probe_batches_match_ram_at_the_edges(self, adversarial_index, tmp_path):
         """A mixed batch whose misses alone touch some shards, a batch whose
@@ -912,8 +953,8 @@ class TestV3Corruption:
     def test_out_of_range_posting_ids_rejected_on_ram_load(
         self, adversarial_index, tmp_path
     ):
-        """validate_postings cross-checks the concatenated shards on a RAM
-        load, like it always did for v2 files."""
+        """The range check covers the concatenated shards on a RAM load,
+        like it always did for v2 files."""
         path = tmp_path / "index.v3"
         save_index(adversarial_index, path, config=PersistenceConfig(shards=1))
         manifest = json.loads((path / "manifest.json").read_text())

@@ -82,11 +82,6 @@ class TestTransformations:
         assert list(subset) == [frozenset({1}), frozenset({3})]
         assert subset.dimension == collection.dimension
 
-    def test_filter_min_size(self):
-        collection = SetCollection([{1}, {2, 3}, set()])
-        filtered = collection.filter_min_size(2)
-        assert len(filtered) == 1
-
     def test_remap_by_frequency_descending(self):
         collection = SetCollection([{5}, {5}, {5, 2}, {2}, {9}])
         remapped, permutation = collection.remap_by_frequency(descending=True)

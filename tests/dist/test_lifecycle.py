@@ -233,6 +233,29 @@ def test_worker_answers_a_version_1_probe_frame_with_a_coded_error(worker_state)
     assert f"version {protocol.PROTOCOL_VERSION}" in meta["error"]
 
 
+def test_worker_answers_a_contains_frame_as_an_unknown_kind(worker_state, mmap_index):
+    """The retired ``contains`` kind gets the unknown-kind error, is not a
+    shutdown, and the same worker then answers a probe of a stored path."""
+    contains = protocol.encode_message(
+        {"kind": "contains", "repetition": 0, "key": 1},
+        {"items": np.arange(2, dtype=np.int64)},
+    )
+    assert _error_of(worker_state, contains)["error"] == "unknown message kind 'contains'"
+
+    store = mmap_index._engine.filter_indexes[0]
+    state, keys = store.to_sorted_state()
+    items = state["path_items"][: state["path_offsets"][1]]
+    offsets = np.array([0, items.size], dtype=np.int64)
+    response, shutdown = worker_state.handle_frame(
+        protocol.encode_probe_request(0, keys[:1], items, offsets)
+    )
+    meta, arrays = protocol.decode_message(response)
+    expected_ids, expected_offsets, _route = store.probe_batch_routed(items, offsets, keys[:1])
+    assert meta["status"] == protocol.STATUS_OK and not shutdown
+    assert arrays["ids"].tolist() == expected_ids.tolist() != []
+    assert arrays["lengths"].tolist() == np.diff(expected_offsets).tolist()
+
+
 def test_describe_reports_the_probe_schema_version(worker_state):
     assert worker_state.describe()["protocol"] == protocol.PROTOCOL_VERSION == 2
 

@@ -10,6 +10,7 @@ from repro.core.mmap_store import MmapReadOnlyError
 from repro.core.paths import paths_to_csr
 from repro.core.stats import BatchQueryStats, ShardFanoutStats
 from repro.dist import shard_router_of, shard_to_worker_map, worker_shard_ranges
+from repro.hashing.pairwise import fold_path
 
 
 # --------------------------------------------------------------------- #
@@ -242,13 +243,10 @@ def test_routed_filter_index_rejects_mutation(inproc_index):
     filter_index = inproc_index._engine.filter_indexes[0]
     with pytest.raises(MmapReadOnlyError):
         filter_index.add((1, 2), 0)
-    with pytest.raises(MmapReadOnlyError):
-        filter_index.add_postings(np.array([1]), np.array([0]))
     with pytest.raises(TypeError):
         filter_index.to_state()
     with pytest.raises(TypeError):
         filter_index.to_sorted_state()
-    filter_index.compact()  # no-op, must not raise
 
 
 def test_routed_filter_index_counts_match_mmap(mmap_index, inproc_index):
@@ -263,13 +261,26 @@ def test_routed_filter_index_counts_match_mmap(mmap_index, inproc_index):
 
 
 def test_routed_contains_matches_mmap(mmap_index, inproc_index):
-    mmap_filters = mmap_index._engine.filter_indexes
-    routed_filters = inproc_index._engine.filter_indexes
-    probes = [(1, 2, 3), (0,), (5, 9, 14, 2), (400, 401)]
-    for expected_index, actual_index in zip(mmap_filters, routed_filters):
-        for path in probes:
-            assert (path in actual_index) == (path in expected_index)
-        # A path that is actually stored must be found over the wire too.
-        stored = expected_index.lookup((1, 2, 3))
-        assert actual_index.lookup((1, 2, 3)) == stored
-
+    """A stored path's postings over the wire equal the mmap store's, and a
+    path the store does not hold answers none."""
+    router = shard_router_of(inproc_index)
+    for repetition, expected_index in enumerate(mmap_index._engine.filter_indexes):
+        state, _keys = expected_index.to_sorted_state()
+        items, offsets = state["path_items"], state["path_offsets"]
+        stored = [
+            tuple(items[offsets[slot] : offsets[slot + 1]].tolist())
+            for slot in (0, (offsets.size - 1) // 2, offsets.size - 2)
+        ]
+        probes = stored + [(1, 2, 3), (0,), (5, 9, 14, 2), (400, 401)]
+        keys = np.asarray([fold_path(path) for path in probes], dtype=np.uint64)
+        probe_items, probe_offsets = paths_to_csr(probes)
+        ids, out_offsets, _route = router.probe_batch_routed(
+            repetition, probe_items, probe_offsets, keys
+        )
+        expected_ids, expected_offsets, _route = expected_index.probe_batch_routed(
+            probe_items, probe_offsets, keys
+        )
+        assert np.array_equal(ids, expected_ids)
+        assert np.array_equal(out_offsets, expected_offsets)
+        assert (np.diff(out_offsets)[: len(stored)] > 0).all()
+    router.take_fanout_stats()  # leave no pending fan-out for later tests

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.reporting import format_comparison_summary, format_series, format_table, indent
+from repro.evaluation.reporting import format_series, format_table, indent
 
 
 class TestFormatTable:
@@ -61,9 +61,5 @@ class TestFormatSeries:
 
 
 class TestHelpers:
-    def test_comparison_summary(self):
-        text = format_comparison_summary([{"m": "x"}], title="cmp")
-        assert text.startswith("cmp")
-
     def test_indent(self):
         assert indent("a\nb", prefix="> ") == "> a\n> b"

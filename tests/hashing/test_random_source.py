@@ -66,10 +66,6 @@ class TestRandomSource:
         child_b = RandomSource(11).child("x").generator.random(3)
         assert np.allclose(child_a, child_b)
 
-    def test_child_seeds_are_distinct(self):
-        seeds = RandomSource(3).child_seeds(20)
-        assert len(set(seeds)) == 20
-
     def test_fresh_generator_deterministic(self):
         a = RandomSource(2).fresh_generator("lbl").random(4)
         b = RandomSource(2).fresh_generator("lbl").random(4)

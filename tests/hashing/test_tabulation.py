@@ -28,7 +28,7 @@ class TestTabulationHash:
 
     def test_unit_interval(self):
         hasher = TabulationHash(3)
-        values = [hasher.hash_unit(key) for key in range(200)]
+        values = [hasher.hash_int(key) / 2**64 for key in range(200)]
         assert all(0.0 <= value < 1.0 for value in values)
         assert 0.4 < float(np.mean(values)) < 0.6
 
@@ -38,14 +38,6 @@ class TestTabulationHash:
         array_values = hasher.hash_array(keys)
         scalar_values = np.asarray([hasher.hash_int(int(key)) for key in keys], dtype=np.uint64)
         assert np.array_equal(array_values, scalar_values)
-
-    def test_hash_array_unit_matches(self):
-        hasher = TabulationHash(5)
-        keys = np.arange(50, dtype=np.uint64)
-        assert np.allclose(
-            hasher.hash_array_unit(keys),
-            hasher.hash_array(keys).astype(np.float64) / float(2**64),
-        )
 
     def test_few_collisions_on_small_universe(self):
         hasher = TabulationHash(9)

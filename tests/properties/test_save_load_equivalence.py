@@ -71,7 +71,9 @@ def test_save_load_equivalence_mixed_workload(
 
     assert type(loaded) is type(index)
     assert loaded.num_indexed == index.num_indexed
-    assert loaded.build_stats.to_dict() == index.build_stats.to_dict()
+    # Every BuildStats field survives but the wall-clock reading, which is
+    # not saved (a loaded index reports 0.0).
+    assert loaded.build_stats.to_dict() == {**index.build_stats.to_dict(), "build_seconds": 0.0}
     assert loaded.build_stats.repetitions == index.build_stats.repetitions
 
     # Single-query surface: identical results and identical work stats.
